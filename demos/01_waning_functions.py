@@ -17,7 +17,7 @@ from waning import (
     enumerate_below,
     is_waning,
     join,
-    meet_if_waning,
+    meet,
     preceq,
 )
 
@@ -48,7 +48,7 @@ b = WaningFn(drops=(3, 2, 1))
 print("\na =", a, " b =", b)
 print("preceq(a, b):", preceq(a, b), " preceq(b, a):", preceq(b, a))
 print("join (pointwise min):", join(a, b))
-print("meet (pointwise max):", meet_if_waning(a, b))
+print("meet (pointwise max):", meet(a, b))
 print("bottom preceq everything:", preceq(CONST_OMEGA, a))
 print("everything preceq top:", preceq(a, CONST_ZERO))
 

@@ -54,7 +54,7 @@ from .functions import (
     enumerate_below,
     is_waning,
     join,
-    meet_if_waning,
+    meet,
     preceq,
     staircase,
 )

@@ -14,6 +14,7 @@ explicit separating elements for the order and compactness results.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -70,17 +71,24 @@ class UBasic:
 @dataclass(frozen=True)
 class WNbhd:
     """Principal neighbourhood of g: agree with g below r and hit at most
-    f(|g|) image points in range(r) outside im(g)."""
+    f(|g|) image points in range(r) outside im(g).  Raises InvalidDescriptor
+    unless r is valid: f(r) <= f(|g|) = f(|g restricted below r|)."""
 
     f: WaningFn
     g: PBij
     r: int
 
+    def __post_init__(self):
+        if not _wnbhd_valid(self.f, self.g, self.r):
+            raise InvalidDescriptor(
+                f"radius {self.r} is not valid for this neighbourhood"
+            )
+
 
 @dataclass(frozen=True)
 class Wany:
     """Elements with domain clear of range(n) whose image misses some member
-    of the family."""
+    of the family.  Raises InvalidDescriptor for an empty family."""
 
     n: int
     families: tuple[frozenset[int], ...]
@@ -89,6 +97,8 @@ class Wany:
         object.__setattr__(self, "n", int(n))
         # canonical order so structural equality matches set-of-sets equality
         sets = {frozenset(int(x) for x in ys) for ys in families}
+        if not sets:
+            raise InvalidDescriptor("empty family of avoided sets")
         object.__setattr__(
             self, "families", tuple(sorted(sets, key=lambda ys: sorted(ys)))
         )
@@ -124,7 +134,13 @@ SetDescriptor = Union[
 
 def _wnbhd_valid(f: WaningFn, g: PBij, r: int) -> bool:
     size_value = f(len(g))
-    return f(r) <= size_value and f(len(g.restrict(r))) == size_value
+    return f(r) <= size_value and f(bisect_left(g.pairs, (r,))) == size_value
+
+
+def _agrees_below(h: PBij, g: PBij, r: int) -> bool:
+    """True when h and g have the same pairs with source below r."""
+    k = bisect_left(g.pairs, (r,))
+    return bisect_left(h.pairs, (r,)) == k and h.pairs[:k] == g.pairs[:k]
 
 
 def member(d: SetDescriptor, h: PBij) -> bool:
@@ -140,19 +156,13 @@ def member(d: SetDescriptor, h: PBij) -> bool:
         outside = len(h) - inside
         return outside >= d.n and inside <= d.f(d.n)
     if isinstance(d, WNbhd):
-        if not _wnbhd_valid(d.f, d.g, d.r):
-            raise InvalidDescriptor(
-                f"radius {d.r} is not valid for this neighbourhood"
-            )
-        if h.restrict(d.r) != d.g.restrict(d.r):
+        if not _agrees_below(h, d.g, d.r):
             return False
         mistakes = sum(
             1 for _, y in h.pairs if y < d.r and not d.g.has_target(y)
         )
         return mistakes <= d.f(len(d.g))
     if isinstance(d, Wany):
-        if not d.families:
-            raise InvalidDescriptor("empty family of avoided sets")
         if any(x < d.n for x, _ in h.pairs):
             return False
         return any(
@@ -163,7 +173,7 @@ def member(d: SetDescriptor, h: PBij) -> bool:
     if isinstance(d, Intersection):
         return all(member(part, h) for part in d.parts)
     if isinstance(d, FixBelow):
-        return h.restrict(d.r) == d.g.restrict(d.r)
+        return _agrees_below(h, d.g, d.r)
     raise TypeError(f"not a descriptor: {d!r}")
 
 
@@ -172,9 +182,8 @@ def valid_r_min(f: WaningFn, g: PBij) -> int:
 
     Every larger radius is also valid and shrinks the neighbourhood.
     """
-    size_value = f(len(g))
     r = 0
-    while not (f(r) <= size_value and f(len(g.restrict(r))) == size_value):
+    while not _wnbhd_valid(f, g, r):
         r += 1
     return r
 

@@ -199,10 +199,13 @@ def join(f: WaningFn, g: WaningFn) -> WaningFn:
     return WaningFn.from_values([min(f(i), g(i)) for i in range(end)])
 
 
-def meet_if_waning(f: WaningFn, g: WaningFn) -> WaningFn:
-    """Pointwise maximum, with the waning predicate asserted on the result.
+def meet(f: WaningFn, g: WaningFn) -> WaningFn:
+    """Pointwise maximum; the greatest lower bound of f and g under preceq.
 
-    No violating pair is known; ``NotWaning`` reports one if it ever appears.
+    The maximum is waning: it is non-increasing because both inputs are; if
+    it takes a finite nonzero value m at i+1, the input reaching m there is
+    strictly above m at i, and so is the maximum; an OMEGA value at i+1
+    forces OMEGA at i.
     """
     if f.const_omega or g.const_omega:
         return CONST_OMEGA

@@ -32,7 +32,7 @@ from .functions import (
     preceq,
 )
 from .pbij import EMPTY, PBij, collapse
-from .serialize import dumps, pb_to_obj
+from .serialize import descriptor_to_obj, dumps, fn_to_obj, pb_to_obj
 from .topology import FinitePoset, embed_poset
 
 MAX_BOUND = 7
@@ -46,10 +46,10 @@ def universe_size(bound: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def enumerate_universe(bound: int, max_bound: int = MAX_BOUND) -> tuple[PBij, ...]:
+def enumerate_universe(bound: int) -> tuple[PBij, ...]:
     """All partial bijections inside range(bound), in lexicographic order."""
-    if bound > max_bound:
-        raise BoundTooLarge(f"bound {bound} exceeds the maximum {max_bound}")
+    if bound > MAX_BOUND:
+        raise BoundTooLarge(f"bound {bound} exceeds the maximum {MAX_BOUND}")
     elements = []
     points = range(bound)
     for k in range(bound + 1):
@@ -110,16 +110,25 @@ def _report(name: str, cases: int, found, started: float) -> CheckReport:
     )
 
 
+def _escapes(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[PBij]:
+    """Universe elements in the first set but not the second."""
+    us = enumerate_universe(bound)
+    return [h for h in us if de.member(d1, h) and not de.member(d2, h)]
+
+
+def _mismatches(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[PBij]:
+    """Universe elements in exactly one of the two sets."""
+    us = enumerate_universe(bound)
+    return [h for h in us if de.member(d1, h) != de.member(d2, h)]
+
+
 def subset_check(
     d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int, name: str = "subset"
 ) -> CheckReport:
     """Report every universe element in the first set but not the second."""
     started = time.perf_counter()
-    found = []
-    label = dumps({"d1": _describe(d1), "d2": _describe(d2)})
-    for h in enumerate_universe(bound):
-        if de.member(d1, h) and not de.member(d2, h):
-            found.append((label, h))
+    label = dumps({"d1": descriptor_to_obj(d1), "d2": descriptor_to_obj(d2)})
+    found = [(label, h) for h in _escapes(d1, d2, bound)]
     return _report(name, universe_size(bound), found, started)
 
 
@@ -147,7 +156,7 @@ def product_containment_check(
     left = [d for d in us if de.member(wa, d)]
     right = [e for e in us if de.member(wb, e)]
     label = dumps(
-        {"f": _describe_fn(f), "a": pb_to_obj(a), "b": pb_to_obj(b), "p": p, "r": r}
+        {"f": fn_to_obj(f), "a": pb_to_obj(a), "b": pb_to_obj(b), "p": p, "r": r}
     )
     found = []
     cases = 0
@@ -157,18 +166,6 @@ def product_containment_check(
             if not de.member(wc, d * e):
                 found.append((label, d * e))
     return _report("product-containment", cases, found, started)
-
-
-def _describe_fn(f) -> dict:
-    from .serialize import fn_to_obj
-
-    return fn_to_obj(f)
-
-
-def _describe(d: de.SetDescriptor) -> dict:
-    from .serialize import descriptor_to_obj
-
-    return descriptor_to_obj(d)
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +247,20 @@ def _basis_eval(bound: int, case) -> list[tuple[str, PBij]]:
     f, g, n, avoid, extra_r, extra_p = case
     label = dumps(
         {
-            "f": _describe_fn(f),
+            "f": fn_to_obj(f),
             "g": pb_to_obj(g),
             "n": n,
             "X": sorted(avoid),
         }
     )
-    found = []
     r = de.valid_r_min(f, g) + extra_r
     p = r + extra_p
     wide = de.WNbhd(f, g, r)
     narrow = de.WNbhd(f, g, p)
     basic = de.UBasic(f, n, avoid)
     refined = de.WNbhd(f, g, de.basis_refinement(f, n, avoid, g))
-    for h in enumerate_universe(bound):
-        if de.member(narrow, h) and not de.member(wide, h):
-            found.append((label + "#monotone", h))
-        if de.member(refined, h) and not de.member(basic, h):
-            found.append((label + "#refine", h))
+    found = [(label + "#monotone", h) for h in _escapes(narrow, wide, bound)]
+    found += [(label + "#refine", h) for h in _escapes(refined, basic, bound)]
     return found
 
 
@@ -295,26 +288,16 @@ def _much_wan_cases(bound: int, seed: int, sample: int) -> list:
 
 def _much_wan_eval(bound: int, case) -> list[tuple[str, PBij]]:
     kind, f, g, r, n, avoid = case
-    found = []
     if kind == "equal":
-        label = dumps({"f": _describe_fn(f), "g": pb_to_obj(g), "r": r})
+        label = dumps({"f": fn_to_obj(f), "g": pb_to_obj(g), "r": r})
         built = de.much_wan_witness(f, g, r)
         target = de.WNbhd(closure(f), g, r)
-        for h in enumerate_universe(bound):
-            if de.member(built, h) != de.member(target, h):
-                found.append((label + "#equal", h))
-    else:
-        label = dumps(
-            {"f": _describe_fn(f), "g": pb_to_obj(g), "n": n, "X": sorted(avoid)}
-        )
-        basic = de.UBasic(f, n, avoid)
-        refined = de.tfprime_refinement(f, n, avoid, g)
-        if not de.member(refined, g):
-            found.append((label + "#base-point", g))
-        for h in enumerate_universe(bound):
-            if de.member(refined, h) and not de.member(basic, h):
-                found.append((label + "#refine", h))
-    return found
+        return [(label + "#equal", h) for h in _mismatches(built, target, bound)]
+    label = dumps({"f": fn_to_obj(f), "g": pb_to_obj(g), "n": n, "X": sorted(avoid)})
+    basic = de.UBasic(f, n, avoid)
+    refined = de.tfprime_refinement(f, n, avoid, g)
+    found = [] if de.member(refined, g) else [(label + "#base-point", g)]
+    return found + [(label + "#refine", h) for h in _escapes(refined, basic, bound)]
 
 
 def _continuity_cases(bound: int, seed: int, sample: int) -> list:
@@ -344,7 +327,7 @@ def _safe_radius(f: WaningFn, g: WaningFn) -> int:
 
 def _order_eval(bound: int, case) -> list[tuple[str, PBij]]:
     f, g = case
-    label = dumps({"f": _describe_fn(f), "g": _describe_fn(g)})
+    label = dumps({"f": fn_to_obj(f), "g": fn_to_obj(g)})
     ordered = preceq(f, g)
     try:
         r = _safe_radius(f, g)
@@ -394,11 +377,7 @@ def _remark_eval(bound: int, case) -> list[tuple[str, PBij]]:
         cap = de.UBasic(GenFn(prefix=(), tail=3, omega=3), 0, range(param))
         rhs = de.Intersection(dom_clear + [cap])
     label = dumps({"identity": kind, "n": n, "param": param})
-    found = []
-    for h in enumerate_universe(bound):
-        if de.member(lhs, h) != de.member(rhs, h):
-            found.append((label, h))
-    return found
+    return [(label, h) for h in _mismatches(lhs, rhs, bound)]
 
 
 def _rand_descriptor(rng: random.Random, depth: int = 0) -> de.SetDescriptor:
@@ -443,7 +422,7 @@ def _dual_cases(bound: int, seed: int, sample: int) -> list:
 
 def _dual_eval(bound: int, case) -> list[tuple[str, PBij]]:
     d = case
-    label = dumps(_describe(d))
+    label = dumps(descriptor_to_obj(d))
     found = []
     for h in enumerate_universe(bound):
         if de.member(de.Dual(d), h) != de.member(d, h.inverse()):
@@ -523,7 +502,7 @@ def _chains_eval(bound: int, case) -> list[tuple[str, PBij]]:
     cap = math.prod(f(i) + 1 for i in range(f.support_end))
     depth_cap = 1 + sum(f(i) for i in range(f.support_end))
     if len(below) > cap or _longest_chain(below) > depth_cap:
-        return [(dumps({"f": _describe_fn(f)}), EMPTY)]
+        return [(dumps({"f": fn_to_obj(f)}), EMPTY)]
     return []
 
 
@@ -609,9 +588,7 @@ def _compact_eval(bound: int, case) -> list[tuple[str, PBij]]:
     escapes = all(target != m for m in covered) and (
         not with_dommiss or target is not None
     )
-    # the full cover has one member per value of target plus the domain-miss set
-    in_full_cover = target is None or target >= 0
-    if not (in_base and escapes and in_full_cover):
+    if not (in_base and escapes):
         return [(label, w)]
     return []
 

@@ -166,6 +166,12 @@ def test_malformed_payload_is_usage_error(capsys):
     assert code == 2
 
 
+def test_member_rejects_invalid_neighbourhood(capsys):
+    d = '{"W":{"f":{"drops":[2,1]},"g":[[5,5]],"r":0}}'
+    code, _, err = run(capsys, "member", "--d", d, "--pb", "[]")
+    assert code == 1 and err.startswith("error:")
+
+
 def test_usage_error_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

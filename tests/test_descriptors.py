@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategies import pbijs, waning_fns
 from waning import (
@@ -36,6 +37,8 @@ from waning import (
     tfprime_refinement,
     valid_r_min,
 )
+from waning.descriptors import _agrees_below
+from waning.serialize import descriptor_from_obj
 
 
 def pb(*pairs):
@@ -84,15 +87,28 @@ def test_member_wnbhd():
 def test_member_wnbhd_validity():
     # radius 0 restricts g to nothing, so the size values disagree
     with pytest.raises(InvalidDescriptor):
-        member(WNbhd(WaningFn(drops=(2, 1)), pb((5, 5)), 0), EMPTY)
+        WNbhd(WaningFn(drops=(2, 1)), pb((5, 5)), 0)
 
 
 def test_member_wany():
     d = Wany(2, [frozenset()])
     for h in enumerate_universe(4):
         assert member(d, h) == (not h.domain & {0, 1})
+
+
+def test_invalid_descriptors_rejected_at_construction():
     with pytest.raises(InvalidDescriptor):
-        member(Wany(0, []), EMPTY)
+        descriptor_from_obj({"W": {"f": {"drops": [2, 1]}, "g": [[5, 5]], "r": 0}})
+    with pytest.raises(InvalidDescriptor):
+        Wany(0, [])
+
+
+small_pbijs = pbijs(max_point=4, max_size=3)
+
+
+@given(small_pbijs, small_pbijs, st.integers(0, 6))
+def test_agrees_below_matches_restrict(h, g, r):
+    assert _agrees_below(h, g, r) == (h.restrict(r) == g.restrict(r))
 
 
 def test_wany_families_canonical():

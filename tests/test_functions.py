@@ -17,7 +17,7 @@ from waning import (
     is_omega,
     is_waning,
     join,
-    meet_if_waning,
+    meet,
     preceq,
     staircase,
 )
@@ -101,12 +101,20 @@ def test_join_examples():
 
 
 def test_meet_examples():
-    assert meet_if_waning(
+    assert meet(
         WaningFn(drops=(5, 1)), WaningFn(drops=(3, 2, 1))
     ) == WaningFn(drops=(5, 2, 1))
     f = WaningFn(drops=(4, 2))
-    assert meet_if_waning(f, f) == f
-    assert meet_if_waning(CONST_OMEGA, f) == CONST_OMEGA
+    assert meet(f, f) == f
+    assert meet(CONST_OMEGA, f) == CONST_OMEGA
+
+
+@given(waning_fns(), waning_fns())
+def test_meet_is_pointwise_max(f, g):
+    m = meet(f, g)
+    for i in range(horizon(f, g)):
+        assert m(i) == max(f(i), g(i))
+    assert is_waning(m.as_genfn())
 
 
 @given(waning_fns(), waning_fns(), waning_fns())
@@ -121,7 +129,7 @@ def test_join_is_least_upper_bound(f, g, h):
 def test_join_meet_algebra(f, g):
     assert join(f, g) == join(g, f)
     assert join(f, f) == f
-    m = meet_if_waning(f, g)
+    m = meet(f, g)
     assert preceq(m, f) and preceq(m, g)
 
 
