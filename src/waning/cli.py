@@ -26,7 +26,7 @@ from .functions import (
     enumerate_below,
     is_waning,
 )
-from .harness import run_suite, subset_check, suite_names
+from .harness import available_cpus, run_suite, subset_check, suite_names
 from .topology import compare, embed_poset, hasse_dot, join_topology
 
 
@@ -202,12 +202,14 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs < 0:
+        raise _UsageError(f"--jobs must be non-negative, got {args.jobs}")
     report = run_suite(
         args.suite,
         bound=args.bound,
         seed=args.seed,
         sample=args.sample,
-        jobs=args.jobs,
+        jobs=args.jobs or available_cpus(),
     )
     return _report_exit(report, args.out)
 
@@ -292,10 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", None) == 0:
-        import os
-
-        args.jobs = os.cpu_count() or 1
     try:
         return args.handler(args)
     except _UsageError as exc:

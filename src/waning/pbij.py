@@ -78,12 +78,7 @@ class PBij:
         return frozenset(self._inv)
 
     def __mul__(self, other: "PBij") -> "PBij":
-        omap = other._map
-        return PBij._from_sorted(
-            tuple(
-                sorted((x, omap[y]) for x, y in self.pairs if y in omap)
-            )
-        )
+        return PBij._from_sorted(product_pairs(self, other))
 
     def inverse(self) -> "PBij":
         return PBij._from_sorted(tuple(sorted((y, x) for x, y in self.pairs)))
@@ -105,6 +100,13 @@ class PBij:
 
 
 EMPTY = PBij()
+
+
+def product_pairs(a: PBij, b: PBij) -> tuple[tuple[int, int], ...]:
+    """The sorted pairs of ``a * b``: a's pairs in source order, each target
+    sent on through b, dropping those b leaves undefined."""
+    bmap = b._map
+    return tuple((x, bmap[y]) for x, y in a.pairs if y in bmap)
 
 
 def reindex(avoid: Iterable[int], x: int, direction: Literal["forward", "inverse"] = "forward") -> int:

@@ -1,7 +1,8 @@
 """JSON encodings for all public value types.
 
 Extended naturals serialize as ints with the single non-numeric token
-``"omega"``.  Partial bijections are sorted arrays of two-element arrays.
+``"omega"``; every integer field must be a JSON natural, so floats, bools
+and negatives raise ``DomainError`` instead of being truncated.  Partial bijections are sorted arrays of two-element arrays.
 Waning functions are ``{"const":"omega"}`` or ``{"omega_prefix":k,"drops":[...]}``;
 eventually-constant functions are ``{"prefix":[...],"tail":v,"omega":v}``.
 Descriptors are tagged objects, topologies ``{"direct":...}``/``{"dual":...}``.
@@ -34,12 +35,15 @@ def value_to_obj(v: ExtNat) -> Any:
     return "omega" if is_omega(v) else int(v)
 
 
-def value_from_obj(obj: Any) -> ExtNat:
-    if obj == "omega":
-        return OMEGA
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise DomainError(f"expected a natural or \"omega\", got {obj!r}")
+def _nat_from_obj(obj: Any) -> int:
+    """A JSON natural; floats, bools and negatives are refused, not truncated."""
+    if isinstance(obj, bool) or not isinstance(obj, int) or obj < 0:
+        raise DomainError(f"expected a natural, got {obj!r}")
     return obj
+
+
+def value_from_obj(obj: Any) -> ExtNat:
+    return OMEGA if obj == "omega" else _nat_from_obj(obj)
 
 
 def pb_to_obj(p: PBij) -> list:
@@ -49,7 +53,7 @@ def pb_to_obj(p: PBij) -> list:
 def pb_from_obj(obj: Any) -> PBij:
     if not isinstance(obj, list):
         raise DomainError(f"expected an array of pairs, got {obj!r}")
-    return PBij(tuple(pair) for pair in obj)
+    return PBij((_nat_from_obj(x), _nat_from_obj(y)) for x, y in obj)
 
 
 def waning_to_obj(w: WaningFn) -> dict:
@@ -64,8 +68,8 @@ def waning_from_obj(obj: Any) -> WaningFn:
     if obj.get("const") == "omega":
         return WaningFn(const_omega=True)
     return WaningFn(
-        omega_prefix=int(obj.get("omega_prefix", 0)),
-        drops=tuple(int(d) for d in obj.get("drops", ())),
+        omega_prefix=_nat_from_obj(obj.get("omega_prefix", 0)),
+        drops=tuple(_nat_from_obj(d) for d in obj.get("drops", ())),
     )
 
 
@@ -127,25 +131,32 @@ def descriptor_from_obj(obj: Any) -> SetDescriptor:
         raise DomainError(f"expected a single-tag descriptor object, got {obj!r}")
     tag, body = next(iter(obj.items()))
     if tag == "hit":
-        return PointHit(int(body[0]), int(body[1]))
+        return PointHit(_nat_from_obj(body[0]), _nat_from_obj(body[1]))
     if tag == "dommiss":
-        return DomMiss(int(body))
+        return DomMiss(_nat_from_obj(body))
     if tag == "immiss":
-        return ImMiss(int(body))
+        return ImMiss(_nat_from_obj(body))
     if tag == "U":
-        return UBasic(fn_from_obj(body["f"]), int(body["n"]), body.get("X", ()))
+        return UBasic(
+            fn_from_obj(body["f"]),
+            _nat_from_obj(body["n"]),
+            (_nat_from_obj(x) for x in body.get("X", ())),
+        )
     if tag == "W":
         return WNbhd(
-            waning_from_obj(body["f"]), pb_from_obj(body["g"]), int(body["r"])
+            waning_from_obj(body["f"]), pb_from_obj(body["g"]), _nat_from_obj(body["r"])
         )
     if tag == "wany":
-        return Wany(int(body["n"]), body["Ys"])
+        return Wany(
+            _nat_from_obj(body["n"]),
+            ((_nat_from_obj(y) for y in ys) for ys in body["Ys"]),
+        )
     if tag == "dual":
         return Dual(descriptor_from_obj(body))
     if tag == "and":
         return Intersection(descriptor_from_obj(p) for p in body)
     if tag == "fix":
-        return FixBelow(pb_from_obj(body["g"]), int(body["r"]))
+        return FixBelow(pb_from_obj(body["g"]), _nat_from_obj(body["r"]))
     raise DomainError(f"unknown descriptor tag {tag!r}")
 
 

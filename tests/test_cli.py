@@ -3,6 +3,7 @@ import json
 import pytest
 
 from waning.cli import main
+from waning.harness import run_suite
 
 
 def run(capsys, *argv):
@@ -198,6 +199,20 @@ def test_verify_census(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "census", "--jobs", "1")
     assert code == 0
     assert "census: pass" in out
+
+
+def test_verify_jobs_flag(capsys, monkeypatch):
+    import waning.cli as cli
+
+    code, _, err = run(capsys, "verify", "--suite", "census", "--jobs", "-1")
+    assert code == 2 and "--jobs" in err
+    seen = []
+    monkeypatch.setattr(cli, "available_cpus", lambda: 5)
+    monkeypatch.setattr(
+        cli, "run_suite", lambda name, **kw: seen.append(kw["jobs"]) or run_suite(name)
+    )
+    assert run(capsys, "verify", "--suite", "census", "--jobs", "0")[0] == 0
+    assert seen == [5]
 
 
 def test_verify_continuity_small(capsys):

@@ -1,20 +1,29 @@
 import json
 import os
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strategies import pbijs
 from waning import (
     CONST_OMEGA,
     CONST_ZERO,
     BoundTooLarge,
+    DomainError,
+    FixBelow,
+    InvalidDescriptor,
     PBij,
     UBasic,
     UnknownSuite,
     WaningFn,
     WNbhd,
     all_posets,
+    continuity_p,
     enumerate_universe,
     equality_check,
+    member,
     product_containment_check,
     run_suite,
     subset_check,
@@ -23,6 +32,7 @@ from waning import (
     valid_r_min,
     waning_sample,
 )
+from waning import harness
 from waning.descriptors import DomMiss, Intersection, Wany
 from waning.serialize import pb_to_obj
 
@@ -64,13 +74,53 @@ def test_universe_bound_guard():
 
 
 def test_universe_closed_under_operations():
+    for bound in range(7):
+        us = set(enumerate_universe(bound))
+        for a in us:
+            assert a.inverse() in us
+            for r in range(bound + 1):
+                assert a.restrict(r) in us
     us = set(enumerate_universe(3))
     for a in us:
-        assert a.inverse() in us
-        for r in range(4):
-            assert a.restrict(r) in us
         for b in us:
             assert a * b in us
+
+
+def _assert_candidates_cover(d, bound):
+    got = harness._candidates(d, bound)
+    us = enumerate_universe(bound)
+    position = {h: i for i, h in enumerate(us)}
+    indices = [position[h] for h in got]
+    assert indices == sorted(set(indices))
+    assert {h for h in us if member(d, h)} <= set(got)
+
+
+@given(st.integers(0, 2**32), st.integers(0, 4))
+@settings(max_examples=80, deadline=None)
+def test_candidates_cover_random_descriptors(seed, bound):
+    _assert_candidates_cover(harness._rand_descriptor(random.Random(seed)), bound)
+
+
+@given(
+    st.sampled_from(waning_sample()),
+    pbijs(max_point=6, max_size=3),
+    st.sampled_from(["zero", "min", "bound", "past"]),
+    st.integers(0, 4),
+)
+@settings(max_examples=150, deadline=None)
+def test_candidates_cover_prefix_sets(f, g, radius, bound):
+    r = {
+        "zero": 0,
+        "min": valid_r_min(f, g),
+        "bound": max(bound, valid_r_min(f, g)),
+        "past": max(bound, valid_r_min(f, g)) + 2,
+    }[radius]
+    _assert_candidates_cover(FixBelow(g, r), bound)
+    try:
+        w = WNbhd(f, g, r)
+    except InvalidDescriptor:
+        return
+    _assert_candidates_cover(w, bound)
 
 
 def test_subset_check_examples():
@@ -106,6 +156,33 @@ def test_product_containment_examples():
     assert rep.ok
     rep = product_containment_check(WaningFn(drops=(2, 1)), PBij(), PBij(), 4)
     assert rep.ok
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        (CONST_ZERO, PBij([(0, 1)]), PBij([(1, 2)])),
+        (WaningFn(drops=(2, 1)), PBij([(1, 0)]), PBij([(0, 1), (2, 2)])),
+        (CONST_OMEGA, PBij([(0, 1)]), PBij([(2, 0)])),
+        # fails at seed 2 of the continuity suite
+        (WaningFn(drops=(9,)), PBij([(1, 1), (2, 0)]), PBij([(0, 0)])),
+    ],
+)
+def test_product_containment_matches_brute_force(f, a, b):
+    bound = 4
+    c = a * b
+    r = valid_r_min(f, c)
+    p = continuity_p(f, a, b, r)
+    wa, wb, wc = WNbhd(f, a, p), WNbhd(f, b, p), WNbhd(f, c, r)
+    us = enumerate_universe(bound)
+    left = [d for d in us if member(wa, d)]
+    right = [e for e in us if member(wb, e)]
+    naive = sorted(
+        (d * e).pairs for d in left for e in right if not member(wc, d * e)
+    )
+    rep = product_containment_check(f, a, b, bound)
+    assert rep.cases == len(left) * len(right)
+    assert sorted(w.pairs for _, w in rep.counterexamples) == naive
 
 
 def test_waning_sample_is_fixed():
@@ -169,6 +246,51 @@ def test_determinism_across_workers():
     parallel = run_suite("remark", bound=4, seed=1, jobs=2)
     assert serial.cases == parallel.cases
     assert serial.counterexamples == parallel.counterexamples
+
+
+def test_run_suite_caps_workers(monkeypatch):
+    import multiprocessing
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, workers):
+            started.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    class Context:
+        Pool = SerialPool
+
+    def get_context(method):
+        assert method == "fork"
+        return Context
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(harness, "available_cpus", lambda: 3)
+    serial = run_suite("remark", bound=3)
+    capped = run_suite("remark", bound=3, jobs=1000)
+    few = run_suite("d-map", bound=2, jobs=1000)
+    monkeypatch.setattr(harness, "available_cpus", lambda: 1)
+    run_suite("remark", bound=3, jobs=1000)
+    # 10 remark cases on 3 CPUs, then 3 d-map cases; one CPU runs in-process
+    assert started == [3, 3]
+    assert capped.cases == serial.cases
+    assert capped.counterexamples == serial.counterexamples
+    assert few.ok and few.cases == 3
+
+
+def test_run_suite_rejects_bad_jobs():
+    for jobs in (0, -1):
+        with pytest.raises(DomainError):
+            run_suite("census", jobs=jobs)
 
 
 def test_counterexamples_sorted_canonically():

@@ -1,8 +1,11 @@
 import json
 
+import pytest
+
 from waning import (
     CONST_OMEGA,
     OMEGA,
+    DomainError,
     Dual,
     DomMiss,
     FixBelow,
@@ -102,3 +105,18 @@ def test_poset_from_obj():
         {"elements": ["a", "b"], "leq": [["a", "a"], ["b", "b"], ["a", "b"]]}
     )
     assert p.le("a", "b") and not p.le("b", "a")
+
+
+@pytest.mark.parametrize(
+    "parse, obj",
+    [
+        (descriptor_from_obj, {"dommiss": 2.7}),
+        (descriptor_from_obj, {"dommiss": True}),
+        (waning_from_obj, {"omega_prefix": 1.9, "drops": []}),
+        (waning_from_obj, {"omega_prefix": 0, "drops": [3.5]}),
+        (pb_from_obj, [[0.2, 1]]),
+    ],
+)
+def test_non_integers_rejected_not_truncated(parse, obj):
+    with pytest.raises(DomainError):
+        parse(obj)
