@@ -47,6 +47,7 @@ from .functions import (
     CONST_OMEGA,
     CONST_ZERO,
     GenFn,
+    SIZE_LIMIT,
     WaningFn,
     closure,
     count_with_first_value_below,

@@ -20,6 +20,7 @@ from typing import Iterable, Union
 
 from .errors import (
     BadBase,
+    BoundTooLarge,
     InvalidDescriptor,
     InvalidR,
     NoWitness,
@@ -27,7 +28,7 @@ from .errors import (
     PreconditionError,
 )
 from .extnat import is_omega
-from .functions import GenFn, WaningFn, closure
+from .functions import SIZE_LIMIT, GenFn, WaningFn, closure
 from .pbij import PBij
 
 
@@ -180,12 +181,16 @@ def member(d: SetDescriptor, h: PBij) -> bool:
 def valid_r_min(f: WaningFn, g: PBij) -> int:
     """Smallest radius r with f(r) <= f(|g|) = f(|g restricted below r|).
 
-    Every larger radius is also valid and shrinks the neighbourhood.
+    Closed form: a radius r shows the k_r pairs of g with source below r,
+    and k_r <= r, so with f non-increasing r is valid exactly when
+    f(k_r) = f(|g|), that is when k_r >= k for the least k with
+    f(k) = f(|g|).  The least such r is one past the source of g's k-th
+    pair, or 0 when k = 0.  Every larger radius is also valid and shrinks
+    the neighbourhood.
     """
-    r = 0
-    while not _wnbhd_valid(f, g, r):
-        r += 1
-    return r
+    size_value = f(len(g))
+    k = next(i for i in range(len(g) + 1) if f(i) == size_value)
+    return g.pairs[k - 1][0] + 1 if k else 0
 
 
 def basis_refinement(f: WaningFn, n: int, avoid: Iterable[int], g: PBij) -> int:
@@ -193,6 +198,8 @@ def basis_refinement(f: WaningFn, n: int, avoid: Iterable[int], g: PBij) -> int:
 
     Requires g itself to be a member.  r clears max(avoid), shows at least n
     image points of g outside ``avoid`` below r, and is valid for (f, g).
+    The second clause holds from one past the source of the n-th pair of g
+    whose target is outside ``avoid``; g is a member, so that pair exists.
     """
     avoid = frozenset(avoid)
     if not member(UBasic(f, n, avoid), g):
@@ -200,8 +207,9 @@ def basis_refinement(f: WaningFn, n: int, avoid: Iterable[int], g: PBij) -> int:
     r = valid_r_min(f, g)
     if avoid:
         r = max(r, max(avoid) + 1)
-    while sum(1 for x, y in g.pairs if x < r and y not in avoid) < n:
-        r += 1
+    if n:
+        shown = [x for x, y in g.pairs if y not in avoid]
+        r = max(r, shown[n - 1] + 1)
     return r
 
 
@@ -264,16 +272,8 @@ def continuity_p(f: WaningFn, a: PBij, b: PBij, r: int) -> int:
         raise InvalidR(f"radius {r} is not valid for the product")
     a_bound = max((y for x, y in a.pairs if x <= r), default=-1)
     b_bound = max((x for x, y in b.pairs if y <= r), default=-1)
-    p = 1
-    while True:
-        if (
-            _wnbhd_valid(f, a, p)
-            and _wnbhd_valid(f, b, p)
-            and p > a_bound
-            and p > b_bound
-        ):
-            return p
-        p += 1
+    # valid radii are closed upwards, so the least common one is the largest
+    return max(1, valid_r_min(f, a), valid_r_min(f, b), a_bound + 1, b_bound + 1)
 
 
 def order_counterexample(
@@ -284,7 +284,8 @@ def order_counterexample(
     Finds the least n where f(n) < g(n), the least b with f(n) < b - n <= g(n),
     and the element extending the identity on n by b - n pairs shifted past r.
     The element lies in the (g, id_n, r) neighbourhood but not the (f, id_n, b)
-    one.  Raises NoWitness when f(n) >= g(n) everywhere.
+    one.  Raises NoWitness when f(n) >= g(n) everywhere, and BoundTooLarge
+    when the element would have more than SIZE_LIMIT pairs.
     """
     if g.const_omega:
         bound = 0 if f.const_omega else f.omega_prefix + 1
@@ -294,6 +295,8 @@ def order_counterexample(
     if n is None:
         raise NoWitness("first function dominates the second pointwise")
     b = n + f(n) + 1
+    if b > SIZE_LIMIT:
+        raise BoundTooLarge(f"the witness has {b} pairs, above {SIZE_LIMIT}")
     if r <= b:
         raise PreconditionError(f"radius {r} must exceed the separation bound {b}")
     extra = tuple((r + i, n + i) for i in range(b - n))

@@ -49,7 +49,7 @@ class BadBase(PreconditionError):
 
 
 class BoundTooLarge(WaningError):
-    """Requested universe bound exceeds the configured maximum."""
+    """A requested universe bound or output size exceeds the configured maximum."""
 
 
 class UnknownSuite(WaningError):

@@ -18,8 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError, NotWaning, OmegaEntries
+from .errors import BoundTooLarge, DomainError, NotWaning, OmegaEntries
 from .extnat import OMEGA, ExtNat, check_extnat, is_omega
+
+# The most elements one call may build: the functions of an enumeration or
+# the pairs of a witness.  Larger requests raise BoundTooLarge.
+SIZE_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -218,14 +222,22 @@ def enumerate_below(f: WaningFn) -> list[WaningFn]:
 
     Any such function is itself omega-free, so it is a strictly decreasing
     run of positive values bounded by ``f``; the search branches on the value
-    chosen at each index.  Results are sorted by canonical form.
+    chosen at each index.  Results are sorted by canonical form.  Raises
+    BoundTooLarge when there are more than SIZE_LIMIT of them.
     """
     if f.const_omega or f.omega_prefix:
         raise OmegaEntries("enumeration below an omega entry is infinite")
+    too_many = f"more than {SIZE_LIMIT} functions lie below the argument"
+    # the drops of f are at least those of staircase(support_end), and the
+    # 2 ** support_end functions below that lie below f too
+    if f.support_end >= SIZE_LIMIT.bit_length():
+        raise BoundTooLarge(too_many)
     results: list[WaningFn] = []
 
     def grow(drops: list[int], i: int) -> None:
         # entering with value 0 at index i pins the function from here on
+        if len(results) == SIZE_LIMIT:
+            raise BoundTooLarge(too_many)
         results.append(WaningFn(drops=tuple(drops)))
         if i >= f.support_end:
             return

@@ -12,7 +12,9 @@ with g below r, so they lie in one prefix run of the lexicographically
 sorted universe, found by bisection; other kinds scan the whole universe.
 Every scanned element is still tested with ``descriptors.member``.  The
 continuity check tests each distinct product of the two factor
-neighbourhoods once and reports a failing one once per factor pair.
+neighbourhoods once and reports a failing one once per factor pair; the
+d-map check collapses each element once and looks up the image of each
+product.
 """
 
 from __future__ import annotations
@@ -477,18 +479,22 @@ def _dmap_eval(bound: int, case) -> list[tuple[str, PBij]]:
     g = PBij.identity(n)
     ups = [h for h in enumerate_universe(bound) if h.extends(g)]
     label = dumps({"idempotent": pb_to_obj(g)})
+    # h * k extends the idempotent g whenever h and k do, so every product
+    # is in ``ups`` and its image is a lookup
+    image = {h.pairs: collapse(g, h) for h in ups}
     found = []
-    images = {}
+    seen = set()
     for h in ups:
-        dh = collapse(g, h)
-        if dh in images:
+        dh = image[h.pairs].pairs
+        if dh in seen:
             found.append((label + "#injective", h))
-        images[dh] = h
+        seen.add(dh)
     for h in ups:
-        dh = collapse(g, h)
+        dh = image[h.pairs]
         for k in ups:
-            if collapse(g, h * k) != dh * collapse(g, k):
-                found.append((label + "#homomorphism", h * k))
+            hk = product_pairs(h, k)
+            if image[hk].pairs != product_pairs(dh, image[k.pairs]):
+                found.append((label + "#homomorphism", PBij._from_sorted(hk)))
     return found
 
 

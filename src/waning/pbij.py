@@ -119,13 +119,12 @@ def reindex(avoid: Iterable[int], x: int, direction: Literal["forward", "inverse
     if x < 0:
         raise DomainError(f"negative point {x}")
     if direction == "forward":
-        # counting walk: advance past members of avoid without a lookup table
-        value = -1
-        remaining = x + 1
-        while remaining:
+        # each avoided point at or below the running value pushes it one up
+        value = x
+        for a in sorted(avoid):
+            if a > value:
+                break
             value += 1
-            if value not in avoid:
-                remaining -= 1
         return value
     if direction == "inverse":
         if x in avoid:

@@ -1,6 +1,10 @@
-"""Shared hypothesis strategies and brute-force oracles."""
+"""Shared hypothesis strategies, brute-force oracles and test helpers."""
+
+import contextlib
+import signal
 
 import hypothesis.strategies as st
+import pytest
 
 from waning import OMEGA, GenFn, PBij, WaningFn, is_omega
 
@@ -48,3 +52,19 @@ def closure_closed_form(f: GenFn, i: int):
 def pointwise_leq(f, g, horizon: int) -> bool:
     """f(i) <= g(i) for all finite i up to a horizon covering both supports."""
     return all(f(i) <= g(i) for i in range(horizon))
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail the enclosed block if it is still running after ``seconds``."""
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

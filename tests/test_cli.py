@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from strategies import deadline
 from waning.cli import main
 from waning.harness import run_suite
 
@@ -153,6 +154,38 @@ def test_domain_error_exit(capsys):
         "5",
     )
     assert code == 1 and "error" in err
+
+
+FAR = "[[100000000,0]]"
+ONE_DROP = '{"omega_prefix":0,"drops":[1]}'
+
+
+def test_witness_radii_for_a_far_source(capsys):
+    basis = ["witness", "--kind", "basis", "--f", ONE_DROP, "--pb", FAR, "--n", "1"]
+    with deadline(2):
+        code, out, _ = run(capsys, *basis)
+    assert code == 0 and json.loads(out) == {"r": 100000001}
+    closes_to_one_drop = '{"prefix":[1],"tail":0,"omega":0}'
+    tfprime = ["witness", "--kind", "tfprime", "--f", closes_to_one_drop, "--pb", FAR]
+    with deadline(2):
+        code, out, _ = run(capsys, *tfprime)
+    assert code == 0
+    assert json.loads(out)["W"] == {
+        "f": {"omega_prefix": 0, "drops": [1]},
+        "g": [[100000000, 0]],
+        "r": 100000001,
+    }
+
+
+def test_oversized_outputs_refused(capsys):
+    big = '{"omega_prefix":0,"drops":[100000000]}'
+    with deadline(2):
+        code, _, err = run(capsys, "below", "--f", big)
+    assert code == 1 and "error:" in err
+    order = ["witness", "--f", big, "--g", '{"const":"omega"}', "--r", "1000000000"]
+    with deadline(2):
+        code, _, err = run(capsys, *order)
+    assert code == 1 and "error:" in err
 
 
 def test_bad_json_is_usage_error(capsys):

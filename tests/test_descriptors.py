@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import pbijs, waning_fns
+from strategies import deadline, pbijs, waning_fns
 from waning import (
     CONST_OMEGA,
     CONST_ZERO,
     OMEGA,
+    SIZE_LIMIT,
     BadBase,
+    BoundTooLarge,
     DomMiss,
     Dual,
     EMPTY,
@@ -140,6 +142,77 @@ def test_valid_r_monotone_and_minimal(f, g):
         assert not (f(p) <= size_value == f(len(g.restrict(p))))
 
 
+def _valid(f, g, r):
+    return f(r) <= f(len(g)) == f(len(g.restrict(r)))
+
+
+def stepping_valid_r_min(f, g):
+    """Oracle: try radii 0, 1, 2, ... until one is valid.  The closed form is
+    checked against this definition by test_valid_r_monotone_and_minimal."""
+    r = 0
+    while not _valid(f, g, r):
+        r += 1
+    return r
+
+
+def stepping_basis_refinement(f, n, avoid, g):
+    """Oracle: from the least valid radius clearing ``avoid``, step until n
+    image points of g outside ``avoid`` are shown."""
+    r = stepping_valid_r_min(f, g)
+    if avoid:
+        r = max(r, max(avoid) + 1)
+    while sum(1 for x, y in g.pairs if x < r and y not in avoid) < n:
+        r += 1
+    return r
+
+
+def stepping_continuity_p(f, a, b, r):
+    """Oracle: the least p >= 1 valid for both factors and clearing the
+    images of {0..r} under a and under the inverse of b."""
+    a_bound = max((y for x, y in a.pairs if x <= r), default=-1)
+    b_bound = max((x for x, y in b.pairs if y <= r), default=-1)
+    p = 1
+    while not (_valid(f, a, p) and _valid(f, b, p) and p > max(a_bound, b_bound)):
+        p += 1
+    return p
+
+
+@given(
+    waning_fns(),
+    pbijs(max_point=5),
+    st.integers(0, 4),
+    st.frozensets(st.integers(0, 6), max_size=3),
+)
+def test_basis_refinement_matches_stepping_search(f, g, n, avoid):
+    n = min(n, sum(1 for _, y in g.pairs if y not in avoid))
+    if not member(UBasic(f, n, avoid), g):
+        return
+    assert basis_refinement(f, n, avoid, g) == stepping_basis_refinement(
+        f, n, avoid, g
+    )
+
+
+@given(
+    waning_fns(),
+    pbijs(max_point=5, max_size=3),
+    pbijs(max_point=5, max_size=3),
+    st.integers(0, 3),
+)
+def test_continuity_p_matches_stepping_search(f, a, b, extra):
+    r = valid_r_min(f, a * b) + extra
+    assert continuity_p(f, a, b, r) == stepping_continuity_p(f, a, b, r)
+
+
+def test_radii_of_a_far_source_return_at_once():
+    f = WaningFn(drops=(1,))
+    far = pb((10**8, 0))
+    with deadline(2):
+        assert valid_r_min(f, far) == 10**8 + 1
+        assert basis_refinement(f, 1, (), far) == 10**8 + 1
+        assert continuity_p(f, far, pb((0, 0)), 10**8 + 1) == 10**8 + 1
+        assert continuity_p(f, pb((0, 0)), far, 1) == 10**8 + 1
+
+
 def test_basis_refinement_examples():
     assert basis_refinement(CONST_ZERO, 1, {0}, pb((1, 2))) == 2
     assert basis_refinement(CONST_OMEGA, 1, set(), pb((0, 0))) == 1
@@ -270,6 +343,15 @@ def test_order_counterexample_examples():
         order_counterexample(WaningFn(drops=(2,)), WaningFn(drops=(2,)), 9)
     with pytest.raises(PreconditionError):
         order_counterexample(CONST_ZERO, WaningFn(drops=(1,)), 1)
+
+
+def test_order_counterexample_size_limit():
+    f, g = WaningFn(drops=(SIZE_LIMIT - 1,)), WaningFn(drops=(SIZE_LIMIT,))
+    n, b, h = order_counterexample(f, g, SIZE_LIMIT + 1)
+    assert (n, b, len(h)) == (0, SIZE_LIMIT, SIZE_LIMIT)
+    f, g = WaningFn(drops=(SIZE_LIMIT,)), WaningFn(drops=(10**8,))
+    with deadline(2), pytest.raises(BoundTooLarge):
+        order_counterexample(f, g, 10**9)
 
 
 def test_order_counterexample_against_omega():

@@ -6,6 +6,8 @@ from waning import (
     CONST_OMEGA,
     CONST_ZERO,
     OMEGA,
+    SIZE_LIMIT,
+    BoundTooLarge,
     GenFn,
     NotWaning,
     OmegaEntries,
@@ -158,6 +160,16 @@ def test_enumerate_below_is_downset():
     for h in below:
         assert pointwise_leq(h, f, horizon(h, f))
         assert preceq(f, h)
+
+
+def test_enumerate_below_size_limit():
+    # 2 ** 17 functions lie below staircase(17): refused before enumerating
+    with pytest.raises(BoundTooLarge):
+        enumerate_below(staircase(17))
+    # one drop of value v has v + 1 functions below it
+    assert len(enumerate_below(WaningFn(drops=(SIZE_LIMIT - 1,)))) == SIZE_LIMIT
+    with pytest.raises(BoundTooLarge):
+        enumerate_below(WaningFn(drops=(SIZE_LIMIT,)))
 
 
 def test_census_counts():

@@ -10,6 +10,7 @@ from strategies import pbijs
 from waning import (
     CONST_OMEGA,
     CONST_ZERO,
+    EMPTY,
     BoundTooLarge,
     DomainError,
     FixBelow,
@@ -20,6 +21,7 @@ from waning import (
     WaningFn,
     WNbhd,
     all_posets,
+    collapse,
     continuity_p,
     enumerate_universe,
     equality_check,
@@ -183,6 +185,21 @@ def test_product_containment_matches_brute_force(f, a, b):
     rep = product_containment_check(f, a, b, bound)
     assert rep.cases == len(left) * len(right)
     assert sorted(w.pairs for _, w in rep.counterexamples) == naive
+
+
+def _dmap_kinds():
+    report = run_suite("d-map", bound=3)
+    return {inputs.rsplit("#", 1)[1] for inputs, _ in report.counterexamples}
+
+
+def test_dmap_reports_a_faulty_collapse(monkeypatch):
+    assert _dmap_kinds() == set()
+    # inversion keeps the map injective but reverses the order of products
+    monkeypatch.setattr(harness, "collapse", lambda g, h: collapse(g, h).inverse())
+    assert _dmap_kinds() == {"homomorphism"}
+    # a constant EMPTY is multiplicative but not injective
+    monkeypatch.setattr(harness, "collapse", lambda g, h: EMPTY)
+    assert _dmap_kinds() == {"injective"}
 
 
 def test_waning_sample_is_fixed():

@@ -2,7 +2,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given
 
-from strategies import pbijs
+from strategies import deadline, pbijs
 from waning import (
     EMPTY,
     DomainError,
@@ -67,6 +67,26 @@ def test_reindex_roundtrip():
     for y in range(20):
         if y not in avoid:
             assert reindex(avoid, reindex(avoid, y, "inverse")) == y
+
+
+def reindex_walk(avoid, x):
+    """Oracle: count x + 1 naturals outside ``avoid`` one at a time."""
+    value, remaining = -1, x + 1
+    while remaining:
+        value += 1
+        if value not in avoid:
+            remaining -= 1
+    return value
+
+
+@given(st.frozensets(st.integers(0, 12), max_size=6), st.integers(0, 15))
+def test_reindex_forward_matches_walk(avoid, x):
+    assert reindex(avoid, x) == reindex_walk(avoid, x)
+
+
+def test_reindex_forward_far_point():
+    with deadline(2):
+        assert reindex({0, 2, 10**9 + 5}, 10**9) == 10**9 + 2
 
 
 def collapse_oracle(g: PBij, h: PBij) -> PBij:
