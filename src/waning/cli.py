@@ -4,8 +4,10 @@ One binary with subcommands covering the calculus (waning-check, closure,
 eval), the lattice (compare, join, chain, below, embed, hasse), membership
 and refinement witnesses (member, subset, witness), and the verification
 suites (verify).  Values cross the boundary as JSON; "omega" is the single
-non-numeric token.  Usage errors exit 2, domain errors exit 1, and checks
-that find counterexamples exit 3.
+non-numeric token.  Each value is decoded once, by a ``serialize`` decoder.
+Usage errors (text that is not JSON, a payload of the wrong shape, an
+unreadable file) exit 2, domain errors exit 1, and checks that find
+counterexamples exit 3.
 """
 
 from __future__ import annotations
@@ -34,11 +36,19 @@ class _UsageError(Exception):
     pass
 
 
-def _json_flag(text: str, flag: str):
+def _decode(text: str, flag: str, parse):
+    """``parse`` applied to the JSON in ``text``.
+
+    Text that is not JSON, or a payload whose shape ``parse`` cannot index
+    or unpack, is a usage error; a value that ``parse`` refuses stays a
+    WaningError.
+    """
     try:
-        return json.loads(text)
+        return parse(json.loads(text))
     except json.JSONDecodeError as exc:
         raise _UsageError(f"flag {flag} is not valid JSON: {exc}") from exc
+    except (TypeError, KeyError, IndexError, ValueError) as exc:
+        raise _UsageError(f"flag {flag} is malformed: {exc!r}") from exc
 
 
 def _parse_index(text: str):
@@ -61,8 +71,8 @@ def _emit(text: str, out: Optional[str]) -> None:
         print(text)
 
 
-def _genfn_arg(args, flag="--f"):
-    fn = se.fn_from_obj(_json_flag(getattr(args, flag.strip("-")), flag))
+def _genfn_arg(args):
+    fn = _decode(args.f, "--f", se.fn_from_obj)
     return fn.as_genfn() if isinstance(fn, WaningFn) else fn
 
 
@@ -77,22 +87,22 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    fn = se.fn_from_obj(_json_flag(args.f, "--f"))
+    fn = _decode(args.f, "--f", se.fn_from_obj)
     value = fn(_parse_index(args.n))
     print(se.dumps(se.value_to_obj(value)))
     return 0
 
 
 def _cmd_compare(args) -> int:
-    t1 = se.topology_from_obj(_json_flag(args.t1, "--t1"))
-    t2 = se.topology_from_obj(_json_flag(args.t2, "--t2"))
+    t1 = _decode(args.t1, "--t1", se.topology_from_obj)
+    t2 = _decode(args.t2, "--t2", se.topology_from_obj)
     print(compare(t1, t2).value)
     return 0
 
 
 def _cmd_join(args) -> int:
-    t1 = se.topology_from_obj(_json_flag(args.t1, "--t1"))
-    t2 = se.topology_from_obj(_json_flag(args.t2, "--t2"))
+    t1 = _decode(args.t1, "--t1", se.topology_from_obj)
+    t2 = _decode(args.t2, "--t2", se.topology_from_obj)
     print(se.dumps(se.topology_to_obj(join_topology(t1, t2))))
     return 0
 
@@ -103,14 +113,14 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_below(args) -> int:
-    f = se.waning_from_obj(_json_flag(args.f, "--f"))
+    f = _decode(args.f, "--f", se.waning_from_obj)
     print(se.dumps([se.waning_to_obj(w) for w in enumerate_below(f)]))
     return 0
 
 
 def _cmd_embed(args) -> int:
     with open(args.poset) as fh:
-        poset = se.poset_from_obj(json.load(fh))
+        poset = _decode(fh.read(), "--poset", se.poset_from_obj)
     mapping = embed_poset(poset)
     print(
         se.dumps({label: se.waning_to_obj(w) for label, w in mapping.items()})
@@ -119,19 +129,23 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_hasse(args) -> int:
-    fns = [se.waning_from_obj(_json_flag(text, "--f")) for text in args.f]
+    fns = [_decode(text, "--f", se.waning_from_obj) for text in args.f]
     _emit(hasse_dot(fns), args.out)
     return 0
 
 
 def _cmd_member(args) -> int:
     if args.d is not None:
-        d = se.descriptor_from_obj(_json_flag(args.d, "--d"))
+        d = _decode(args.d, "--d", se.descriptor_from_obj)
     elif args.Ys is not None:
-        d = de.Wany(args.n or 0, _json_flag(args.Ys, "--Ys"))
+        d = _decode(
+            args.Ys,
+            "--Ys",
+            lambda ys: se.descriptor_from_obj({"wany": {"n": args.n or 0, "Ys": ys}}),
+        )
     else:
         raise _UsageError("member needs --d, or --Ys (with --n) for a wany set")
-    h = se.pb_from_obj(_json_flag(args.pb, "--pb"))
+    h = _decode(args.pb, "--pb", se.pb_from_obj)
     print("true" if de.member(d, h) else "false")
     return 0
 
@@ -148,8 +162,8 @@ def _report_exit(report, out: Optional[str]) -> int:
 
 
 def _cmd_subset(args) -> int:
-    d1 = se.descriptor_from_obj(_json_flag(args.d1, "--d1"))
-    d2 = se.descriptor_from_obj(_json_flag(args.d2, "--d2"))
+    d1 = _decode(args.d1, "--d1", se.descriptor_from_obj)
+    d2 = _decode(args.d2, "--d2", se.descriptor_from_obj)
     return _report_exit(subset_check(d1, d2, args.bound), args.out)
 
 
@@ -164,37 +178,37 @@ def _cmd_witness(args) -> int:
     kind = args.kind
     if kind == "order":
         _require(args, "f", "g", "r")
-        f = se.waning_from_obj(_json_flag(args.f, "--f"))
-        g = se.waning_from_obj(_json_flag(args.g, "--g"))
+        f = _decode(args.f, "--f", se.waning_from_obj)
+        g = _decode(args.g, "--g", se.waning_from_obj)
         n, b, h = de.order_counterexample(f, g, args.r)
         print(se.dumps({"n": n, "b": b, "h": se.pb_to_obj(h)}))
         return 0
     if kind == "basis":
         _require(args, "f", "pb")
-        f = se.waning_from_obj(_json_flag(args.f, "--f"))
-        g = se.pb_from_obj(_json_flag(args.pb, "--pb"))
-        avoid = _json_flag(args.X, "--X") if args.X else []
+        f = _decode(args.f, "--f", se.waning_from_obj)
+        g = _decode(args.pb, "--pb", se.pb_from_obj)
+        avoid = _decode(args.X, "--X", se.nats_from_obj)
         print(se.dumps({"r": de.basis_refinement(f, args.n or 0, avoid, g)}))
         return 0
     if kind == "much-wan":
         _require(args, "f", "pb", "r")
         f = _genfn_arg(args)
-        g = se.pb_from_obj(_json_flag(args.pb, "--pb"))
+        g = _decode(args.pb, "--pb", se.pb_from_obj)
         print(se.dumps(se.descriptor_to_obj(de.much_wan_witness(f, g, args.r))))
         return 0
     if kind == "tfprime":
         _require(args, "f", "pb")
         f = _genfn_arg(args)
-        g = se.pb_from_obj(_json_flag(args.pb, "--pb"))
-        avoid = _json_flag(args.X, "--X") if args.X else []
+        g = _decode(args.pb, "--pb", se.pb_from_obj)
+        avoid = _decode(args.X, "--X", se.nats_from_obj)
         result = de.tfprime_refinement(f, args.n or 0, avoid, g)
         print(se.dumps(se.descriptor_to_obj(result)))
         return 0
     if kind == "cover":
         _require(args, "pb")
-        h0 = se.pb_from_obj(_json_flag(args.pb, "--pb"))
-        avoid = _json_flag(args.X, "--X") if args.X else []
-        covered = _json_flag(args.m, "--m") if args.m else []
+        h0 = _decode(args.pb, "--pb", se.pb_from_obj)
+        avoid = _decode(args.X, "--X", se.nats_from_obj)
+        covered = _decode(args.m, "--m", se.nats_from_obj)
         w = de.cover_witness(args.n or 0, h0, avoid, covered, args.dommiss)
         print(se.dumps(se.pb_to_obj(w)))
         return 0
@@ -274,8 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pb", help="partial bijection JSON")
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--X", help="set JSON")
-    p.add_argument("--m", help="covered-values JSON")
+    p.add_argument("--X", default="[]", help="set JSON")
+    p.add_argument("--m", default="[]", help="covered-values JSON")
     p.add_argument("--dommiss", action="store_true")
     p.set_defaults(handler=_cmd_witness)
     cmd(
@@ -296,16 +310,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, OSError) as exc:
+        # an unreadable --poset file or --out path is a caller mistake
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except WaningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TypeError, KeyError, IndexError, ValueError, OSError) as exc:
-        # malformed payloads and unreadable files are caller mistakes
-        print(f"usage error: {exc!r}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

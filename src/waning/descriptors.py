@@ -63,10 +63,8 @@ class UBasic:
     n: int
     avoid: frozenset[int]
 
-    def __init__(self, f, n: int, avoid: Iterable[int]):
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "avoid", frozenset(int(x) for x in avoid))
+    def __post_init__(self):
+        object.__setattr__(self, "avoid", frozenset(self.avoid))
 
 
 @dataclass(frozen=True)
@@ -95,9 +93,9 @@ class Wany:
     families: tuple[frozenset[int], ...]
 
     def __init__(self, n: int, families: Iterable[Iterable[int]]):
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         # canonical order so structural equality matches set-of-sets equality
-        sets = {frozenset(int(x) for x in ys) for ys in families}
+        sets = {frozenset(ys) for ys in families}
         if not sets:
             raise InvalidDescriptor("empty family of avoided sets")
         object.__setattr__(
@@ -218,7 +216,8 @@ def much_wan_witness(f: GenFn, g: PBij, r: int) -> SetDescriptor:
 
     For the waning closure f' of f and a radius valid for (f', g), returns a
     set built from f alone that agrees pointwise with the (f', g, r)
-    neighbourhood on finite elements.
+    neighbourhood on finite elements.  Raises BoundTooLarge when a finite
+    budget makes that set list the more than SIZE_LIMIT points of range(r).
     """
     fp = closure(f)
     if not _wnbhd_valid(fp, g, r):
@@ -227,6 +226,8 @@ def much_wan_witness(f: GenFn, g: PBij, r: int) -> SetDescriptor:
     if is_omega(size_value):
         # the mistake budget is unlimited, so only the agreement clause binds
         return FixBelow(g, r)
+    if r > SIZE_LIMIT:
+        raise BoundTooLarge(f"the witness avoids {r} points, above {SIZE_LIMIT}")
     i = len(g.restrict(r))
     j = min(range(i + 1), key=lambda jj: f(jj) - (i - jj))
     b = fp(i) + i - f(j)
@@ -287,11 +288,13 @@ def order_counterexample(
     one.  Raises NoWitness when f(n) >= g(n) everywhere, and BoundTooLarge
     when the element would have more than SIZE_LIMIT pairs.
     """
-    if g.const_omega:
-        bound = 0 if f.const_omega else f.omega_prefix + 1
+    if f.const_omega:
+        n = None
     else:
-        bound = g.support_end
-    n = next((i for i in range(bound) if f(i) < g(i)), None)
+        # f(i) < g(i) fails while f is OMEGA; from f's support end on f is 0
+        # and g non-increasing, so it holds there only if it holds at the end
+        span = range(f.omega_prefix, f.support_end + 1)
+        n = next((i for i in span if f(i) < g(i)), None)
     if n is None:
         raise NoWitness("first function dominates the second pointwise")
     b = n + f(n) + 1

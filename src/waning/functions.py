@@ -126,8 +126,14 @@ class WaningFn:
         return self.omega_prefix + len(self.drops)
 
     def as_genfn(self) -> GenFn:
+        """The same function with its leading values listed; raises
+        BoundTooLarge when there are more than SIZE_LIMIT of them."""
         if self.const_omega:
             return GenFn(prefix=(), tail=OMEGA, omega=OMEGA)
+        if self.support_end > SIZE_LIMIT:
+            raise BoundTooLarge(
+                f"{self.support_end} leading values, above {SIZE_LIMIT}"
+            )
         values = tuple(self(i) for i in range(self.support_end))
         return GenFn(prefix=values, tail=0, omega=0)
 
@@ -169,18 +175,23 @@ def closure(f: GenFn) -> WaningFn:
 
     Step rules: start at ``f(0)``; while the running value is nonzero the
     next value is ``min(f(i+1), value - 1)``; once 0 is reached stay at 0.
-    An everywhere-OMEGA run yields the constant-OMEGA function.
+    An everywhere-OMEGA run yields the constant-OMEGA function.  Raises
+    BoundTooLarge when the result would have more than SIZE_LIMIT drops.
     """
-    value = f(0)
-    values = [value]
     i = 0
-    while value != 0:
-        if is_omega(value) and i >= len(f.prefix) and is_omega(f.tail):
+    while is_omega(f(i)):
+        if i >= len(f.prefix) and is_omega(f.tail):
             return CONST_OMEGA
-        value = min(f(i + 1), value - 1)
-        values.append(value)
         i += 1
-    return WaningFn.from_values(values)
+    omega_prefix, value = i, f(i)
+    drops: list[int] = []
+    while value != 0:
+        if len(drops) == SIZE_LIMIT:
+            raise BoundTooLarge(f"the closure has more than {SIZE_LIMIT} drops")
+        drops.append(value)
+        i += 1
+        value = min(f(i), value - 1)
+    return WaningFn(omega_prefix, tuple(drops))
 
 
 def preceq(f: WaningFn, g: WaningFn) -> bool:
@@ -189,8 +200,14 @@ def preceq(f: WaningFn, g: WaningFn) -> bool:
         return True
     if g.const_omega:
         return False
-    end = max(f.support_end, g.support_end)
-    return all(f(i) >= g(i) for i in range(end))
+    # f needs the longer OMEGA run and support, and drops at least g's where
+    # both are finite
+    pf, pg = f.omega_prefix, g.omega_prefix
+    return (
+        pf >= pg
+        and f.support_end >= g.support_end
+        and all(a >= b for a, b in zip(f.drops, g.drops[pf - pg :]))
+    )
 
 
 def join(f: WaningFn, g: WaningFn) -> WaningFn:
@@ -199,8 +216,9 @@ def join(f: WaningFn, g: WaningFn) -> WaningFn:
         return g
     if g.const_omega:
         return f
-    end = max(f.support_end, g.support_end)
-    return WaningFn.from_values([min(f(i), g(i)) for i in range(end)])
+    start = min(f.omega_prefix, g.omega_prefix)
+    end = min(f.support_end, g.support_end)
+    return WaningFn(start, tuple(min(f(i), g(i)) for i in range(start, end)))
 
 
 def meet(f: WaningFn, g: WaningFn) -> WaningFn:
@@ -213,8 +231,9 @@ def meet(f: WaningFn, g: WaningFn) -> WaningFn:
     """
     if f.const_omega or g.const_omega:
         return CONST_OMEGA
+    start = max(f.omega_prefix, g.omega_prefix)
     end = max(f.support_end, g.support_end)
-    return WaningFn.from_values([max(f(i), g(i)) for i in range(end)])
+    return WaningFn(start, tuple(max(f(i), g(i)) for i in range(start, end)))
 
 
 def enumerate_below(f: WaningFn) -> list[WaningFn]:

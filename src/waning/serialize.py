@@ -2,7 +2,9 @@
 
 Extended naturals serialize as ints with the single non-numeric token
 ``"omega"``; every integer field must be a JSON natural, so floats, bools
-and negatives raise ``DomainError`` instead of being truncated.  Partial bijections are sorted arrays of two-element arrays.
+and negatives raise ``DomainError`` instead of being truncated, and so does
+an object key that the decoder does not read.  Partial bijections are sorted
+arrays of two-element arrays, sets of naturals arrays of naturals.
 Waning functions are ``{"const":"omega"}`` or ``{"omega_prefix":k,"drops":[...]}``;
 eventually-constant functions are ``{"prefix":[...],"tail":v,"omega":v}``.
 Descriptors are tagged objects, topologies ``{"direct":...}``/``{"dual":...}``.
@@ -42,8 +44,22 @@ def _nat_from_obj(obj: Any) -> int:
     return obj
 
 
+def _check_keys(obj: Any, *keys: str) -> None:
+    """Raise DomainError when ``obj`` is an object with a key outside ``keys``."""
+    unknown = sorted(obj.keys() - set(keys)) if isinstance(obj, dict) else ()
+    if unknown:
+        raise DomainError(f"unknown keys {unknown} in {obj!r}")
+
+
 def value_from_obj(obj: Any) -> ExtNat:
     return OMEGA if obj == "omega" else _nat_from_obj(obj)
+
+
+def nats_from_obj(obj: Any) -> frozenset[int]:
+    """A set of naturals, from an array of JSON naturals."""
+    if not isinstance(obj, list):
+        raise DomainError(f"expected an array of naturals, got {obj!r}")
+    return frozenset(_nat_from_obj(x) for x in obj)
 
 
 def pb_to_obj(p: PBij) -> list:
@@ -65,8 +81,9 @@ def waning_to_obj(w: WaningFn) -> dict:
 def waning_from_obj(obj: Any) -> WaningFn:
     if not isinstance(obj, dict):
         raise DomainError(f"expected a waning-function object, got {obj!r}")
-    if obj.get("const") == "omega":
+    if obj == {"const": "omega"}:
         return WaningFn(const_omega=True)
+    _check_keys(obj, "omega_prefix", "drops")
     return WaningFn(
         omega_prefix=_nat_from_obj(obj.get("omega_prefix", 0)),
         drops=tuple(_nat_from_obj(d) for d in obj.get("drops", ())),
@@ -84,6 +101,7 @@ def genfn_to_obj(f: GenFn) -> dict:
 def genfn_from_obj(obj: Any) -> GenFn:
     if not isinstance(obj, dict):
         raise DomainError(f"expected a function object, got {obj!r}")
+    _check_keys(obj, "prefix", "tail", "omega")
     return GenFn(
         prefix=tuple(value_from_obj(v) for v in obj.get("prefix", ())),
         tail=value_from_obj(obj.get("tail", 0)),
@@ -137,25 +155,26 @@ def descriptor_from_obj(obj: Any) -> SetDescriptor:
     if tag == "immiss":
         return ImMiss(_nat_from_obj(body))
     if tag == "U":
+        _check_keys(body, "f", "n", "X")
         return UBasic(
             fn_from_obj(body["f"]),
             _nat_from_obj(body["n"]),
-            (_nat_from_obj(x) for x in body.get("X", ())),
+            nats_from_obj(body.get("X", [])),
         )
     if tag == "W":
+        _check_keys(body, "f", "g", "r")
         return WNbhd(
             waning_from_obj(body["f"]), pb_from_obj(body["g"]), _nat_from_obj(body["r"])
         )
     if tag == "wany":
-        return Wany(
-            _nat_from_obj(body["n"]),
-            ((_nat_from_obj(y) for y in ys) for ys in body["Ys"]),
-        )
+        _check_keys(body, "n", "Ys")
+        return Wany(_nat_from_obj(body["n"]), (nats_from_obj(ys) for ys in body["Ys"]))
     if tag == "dual":
         return Dual(descriptor_from_obj(body))
     if tag == "and":
         return Intersection(descriptor_from_obj(p) for p in body)
     if tag == "fix":
+        _check_keys(body, "g", "r")
         return FixBelow(pb_from_obj(body["g"]), _nat_from_obj(body["r"]))
     raise DomainError(f"unknown descriptor tag {tag!r}")
 
@@ -184,6 +203,7 @@ def poset_from_obj(obj: Any):
 
     if not isinstance(obj, dict):
         raise DomainError(f"expected a poset object, got {obj!r}")
+    _check_keys(obj, "elements", "leq")
     return FinitePoset(obj.get("elements", ()), obj.get("leq", ()))
 
 

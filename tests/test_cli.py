@@ -188,6 +188,81 @@ def test_oversized_outputs_refused(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_oversized_closures_and_witnesses_refused(capsys):
+    unwinds = '{"prefix":[1000000],"tail":"omega","omega":0}'
+    long_prefix = '{"omega_prefix":1000000,"drops":[]}'
+    much_wan = ["witness", "--kind", "much-wan", "--f", '{"prefix":[5]}', "--pb", "[]"]
+    for argv in (
+        ["closure", "--f", unwinds],
+        ["closure", "--f", long_prefix],
+        ["waning-check", "--f", long_prefix],
+        much_wan + ["--r", "1000000"],
+    ):
+        with deadline(2):
+            code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error:")
+
+
+def test_lattice_of_far_omega_prefixes(capsys):
+    far = '{"omega_prefix":100000000,"drops":[]}'
+    far_drops = '{"omega_prefix":100000000,"drops":[3,1]}'
+    compare = ["compare", "--t1", '{"direct":%s}' % far, "--t2", '{"direct":%s}' % ONE_DROP]
+    with deadline(2):
+        code, out, _ = run(capsys, *compare)
+    assert code == 0 and out.strip() == "coarser"
+    join = ["join", "--t1", '{"direct":%s}' % far, "--t2", '{"direct":%s}' % far_drops]
+    with deadline(2):
+        code, out, _ = run(capsys, *join)
+    assert code == 0 and json.loads(out) == {"direct": json.loads(far)}
+    order = ["witness", "--f", far, "--g", '{"const":"omega"}', "--r", "5"]
+    with deadline(2):
+        code, _, err = run(capsys, *order)
+    assert code == 1 and err.startswith("error:")
+
+
+def test_sets_of_naturals_rejected_not_truncated(capsys):
+    basis = ["witness", "--kind", "basis", "--f", ONE_DROP, "--pb", "[[0,0]]"]
+    cover = ["witness", "--kind", "cover", "--n", "0", "--pb", "[]", "--dommiss"]
+    for argv in (
+        basis + ["--X", "[2.7]"],
+        cover + ["--m", "[0.5]"],
+        ["member", "--Ys", "[[2.9]]", "--pb", "[[0,0]]"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error:")
+
+
+def test_unknown_keys_rejected(capsys):
+    order = ["witness", "--f", '{"drop":[3]}', "--g", ONE_DROP, "--r", "5"]
+    code, _, err = run(capsys, *order)
+    assert code == 1 and "unknown keys" in err
+
+
+def test_bounds_below_two(capsys):
+    for suite in ("basis", "much-wan"):
+        for bound in ("0", "1"):
+            verify = ["verify", "--suite", suite, "--bound", bound, "--jobs", "1"]
+            code, out, _ = run(capsys, *verify)
+            assert code == 0 and "pass" in out
+    negative = ["verify", "--suite", "basis", "--bound", "-1", "--jobs", "1"]
+    code, _, err = run(capsys, *negative)
+    assert code == 1 and err.startswith("error:")
+    d = '{"dommiss":0}'
+    code, _, err = run(capsys, "subset", "--d1", d, "--d2", d, "--bound", "-1")
+    assert code == 1 and err.startswith("error:")
+
+
+def test_library_faults_are_not_usage_errors(monkeypatch):
+    import waning.cli as cli
+
+    def broken(f):
+        raise ValueError("a fault inside the library")
+
+    monkeypatch.setattr(cli, "closure", broken)
+    with pytest.raises(ValueError):
+        main(["closure", "--f", '{"prefix":[1]}'])
+
+
 def test_bad_json_is_usage_error(capsys):
     code, _, err = run(capsys, "closure", "--f", "{not json")
     assert code == 2 and "JSON" in err

@@ -354,6 +354,21 @@ def test_order_counterexample_size_limit():
         order_counterexample(f, g, 10**9)
 
 
+def test_order_counterexample_far_omega_prefix():
+    far = WaningFn(omega_prefix=10**8)
+    with deadline(2), pytest.raises(NoWitness):
+        order_counterexample(CONST_OMEGA, far, 5)
+    with deadline(2), pytest.raises(BoundTooLarge):
+        order_counterexample(far, WaningFn(omega_prefix=10**8, drops=(1,)), 5)
+
+
+def test_much_wan_witness_size_limit():
+    f = GenFn(prefix=(1,))
+    assert much_wan_witness(f, EMPTY, SIZE_LIMIT).parts[0] == FixBelow(EMPTY, SIZE_LIMIT)
+    with pytest.raises(BoundTooLarge):
+        much_wan_witness(f, EMPTY, SIZE_LIMIT + 1)
+
+
 def test_order_counterexample_against_omega():
     # a finite separation bound exists even when the other value is OMEGA
     n, b, h = order_counterexample(CONST_ZERO, CONST_OMEGA, 9)

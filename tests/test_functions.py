@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given
 
-from strategies import closure_closed_form, genfns, pointwise_leq, waning_fns
+from hypothesis import settings
+
+from strategies import closure_closed_form, deadline, genfns, pointwise_leq, waning_fns
 from waning import (
     CONST_OMEGA,
     CONST_ZERO,
@@ -138,6 +140,60 @@ def test_join_meet_algebra(f, g):
 @given(waning_fns(), waning_fns(), waning_fns())
 def test_join_associative(f, g, h):
     assert join(join(f, g), h) == join(f, join(g, h))
+
+
+def _preceq_by_index(f, g):
+    if f.const_omega:
+        return True
+    if g.const_omega:
+        return False
+    end = max(f.support_end, g.support_end)
+    return all(f(i) >= g(i) for i in range(end))
+
+
+def _join_by_index(f, g):
+    if f.const_omega:
+        return g
+    if g.const_omega:
+        return f
+    end = max(f.support_end, g.support_end)
+    return WaningFn.from_values([min(f(i), g(i)) for i in range(end)])
+
+
+def _meet_by_index(f, g):
+    if f.const_omega or g.const_omega:
+        return CONST_OMEGA
+    end = max(f.support_end, g.support_end)
+    return WaningFn.from_values([max(f(i), g(i)) for i in range(end)])
+
+
+@given(waning_fns(), waning_fns())
+@settings(max_examples=300)
+def test_lattice_matches_per_index_definitions(f, g):
+    assert preceq(f, g) == _preceq_by_index(f, g)
+    assert join(f, g) == _join_by_index(f, g)
+    assert meet(f, g) == _meet_by_index(f, g)
+
+
+def test_lattice_of_far_omega_prefixes():
+    far = WaningFn(omega_prefix=10**8)
+    far_drops = WaningFn(omega_prefix=10**8, drops=(3, 1))
+    with deadline(2):
+        assert preceq(far, CONST_ZERO) and preceq(far_drops, far)
+        assert not preceq(far, far_drops)
+        assert join(far, far_drops) == far
+        assert meet(far, far_drops) == far_drops
+
+
+def test_closure_and_as_genfn_size_limit():
+    # an OMEGA tail unwinds one finite value v into v drops
+    unwound = closure(GenFn(prefix=(SIZE_LIMIT,), tail=OMEGA))
+    assert unwound.drops == tuple(range(SIZE_LIMIT, 0, -1))
+    with pytest.raises(BoundTooLarge):
+        closure(GenFn(prefix=(SIZE_LIMIT + 1,), tail=OMEGA))
+    assert len(WaningFn(omega_prefix=SIZE_LIMIT).as_genfn().prefix) == SIZE_LIMIT
+    with pytest.raises(BoundTooLarge):
+        WaningFn(omega_prefix=SIZE_LIMIT, drops=(1,)).as_genfn()
 
 
 def test_enumerate_below_examples():

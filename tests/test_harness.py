@@ -45,8 +45,10 @@ def test_universe_counts():
     assert universe_size(4) == 209
     assert universe_size(5) == 1546
     assert universe_size(6) == 13327
-    for bound in range(5):
+    for bound in range(7):
         assert len(enumerate_universe(bound)) == universe_size(bound)
+    with pytest.raises(DomainError):
+        enumerate_universe(-1)
 
 
 def test_universe_small_listing():

@@ -27,6 +27,7 @@ from waning.serialize import (
     fn_from_obj,
     genfn_from_obj,
     genfn_to_obj,
+    nats_from_obj,
     pb_from_obj,
     pb_to_obj,
     poset_from_obj,
@@ -115,8 +116,28 @@ def test_poset_from_obj():
         (waning_from_obj, {"omega_prefix": 1.9, "drops": []}),
         (waning_from_obj, {"omega_prefix": 0, "drops": [3.5]}),
         (pb_from_obj, [[0.2, 1]]),
+        (nats_from_obj, [2.7]),
     ],
 )
 def test_non_integers_rejected_not_truncated(parse, obj):
     with pytest.raises(DomainError):
+        parse(obj)
+
+
+@pytest.mark.parametrize(
+    "parse, obj",
+    [
+        (waning_from_obj, {"drop": [3]}),
+        (waning_from_obj, {"const": "omega", "drops": [1]}),
+        (genfn_from_obj, {"prefix": [1], "tails": 0}),
+        (topology_from_obj, {"direct": {"omega_prefix": 0, "dropz": [1]}}),
+        (descriptor_from_obj, {"U": {"f": {"drops": []}, "n": 0, "x": [1]}}),
+        (descriptor_from_obj, {"W": {"f": {"drops": []}, "g": [], "r": 0, "R": 1}}),
+        (descriptor_from_obj, {"wany": {"n": 0, "Ys": [[]], "ys": [[0]]}}),
+        (descriptor_from_obj, {"fix": {"g": [], "r": 0, "n": 1}}),
+        (poset_from_obj, {"elements": ["a"], "leq": [["a", "a"]], "geq": []}),
+    ],
+)
+def test_unknown_keys_rejected(parse, obj):
+    with pytest.raises(DomainError, match="unknown keys"):
         parse(obj)
