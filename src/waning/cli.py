@@ -5,21 +5,24 @@ eval), the lattice (compare, join, chain, below, embed, hasse), membership
 and refinement witnesses (member, subset, witness), and the verification
 suites (verify).  Values cross the boundary as JSON; "omega" is the single
 non-numeric token.  Each value is decoded once, by a ``serialize`` decoder.
-Usage errors (text that is not JSON, a payload of the wrong shape, an
-unreadable file) exit 2, domain errors exit 1, and checks that find
-counterexamples exit 3.
+Usage errors (text that is not JSON, a payload of the wrong shape, a
+``--poset`` or ``--out`` file that cannot be opened) exit 2, domain errors
+(a negative ``--n``, ``--r`` or ``--sample`` among them) exit 1, and checks
+that find counterexamples exit 3.  A reader that closes stdout early, as
+``| head`` does, ends the run quietly with status 141, as SIGPIPE would.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
 from . import descriptors as de
 from . import serialize as se
-from .errors import WaningError
+from .errors import DomainError, WaningError
 from .extnat import OMEGA
 from .functions import (
     WaningFn,
@@ -63,9 +66,16 @@ def _parse_index(text: str):
     return value
 
 
+def _open(path: str, flag: str, mode: str = "r"):
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise _UsageError(f"cannot open {flag} {path}: {exc}") from exc
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
+        with _open(out, "--out", "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
@@ -119,7 +129,7 @@ def _cmd_below(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    with open(args.poset) as fh:
+    with _open(args.poset, "--poset") as fh:
         poset = _decode(fh.read(), "--poset", se.poset_from_obj)
     mapping = embed_poset(poset)
     print(
@@ -155,7 +165,7 @@ def _report_exit(report, out: Optional[str]) -> int:
     for inputs, witness in report.counterexamples:
         print(f"counterexample {se.dumps(se.pb_to_obj(witness))} {inputs}")
     if out:
-        with open(out, "w") as fh:
+        with _open(out, "--out", "w") as fh:
             json.dump(report.to_obj(), fh, indent=2)
             fh.write("\n")
     return 0 if report.ok else 3
@@ -305,18 +315,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_naturals(args) -> None:
+    """Refuse a negative integer flag, as the JSON decoders refuse a negative
+    natural."""
+    for name in ("n", "r"):
+        value = getattr(args, name, None)
+        # eval's --n is text, decoded by _parse_index
+        if isinstance(value, int) and value < 0:
+            raise DomainError(f"--{name} must be a natural, got {value}")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except (_UsageError, OSError) as exc:
-        # an unreadable --poset file or --out path is a caller mistake
+        _check_naturals(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except WaningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # stdout was closed early; point it at devnull so that the flush at
+        # exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -11,9 +11,12 @@ Checks scan only candidate elements.  Members of a W or FixBelow set agree
 with g below r, so they lie in one prefix run of the lexicographically
 sorted universe, found by bisection; other kinds scan the whole universe.
 Every scanned element is still tested with ``descriptors.member``.  The
-continuity check tests each distinct product of the two factor
-neighbourhoods once and reports a failing one once per factor pair; the
-d-map check collapses each element once and looks up the image of each
+continuity check groups left factors by their pairs with source below r and
+their image, and right factors by their values on the left classes' low
+targets and the sources they send below r outside im(a * b); it tests one
+product per class pair, and forms and tests every product of a class pair
+only when that product fails, reporting a failing one once per factor pair.
+The d-map check collapses each element once and looks up the image of each
 product.
 """
 
@@ -178,13 +181,39 @@ def equality_check(
     return _report("equality", 2 * universe_size(bound), found, started)
 
 
+def _classes(items: Iterable[PBij], key) -> list[list[PBij]]:
+    """``items`` grouped by ``key``, each group in the order met."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return list(groups.values())
+
+
 def product_containment_check(
     f: WaningFn, a: PBij, b: PBij, bound: int
 ) -> CheckReport:
     """Verify products of the two factor neighbourhoods land in the target one.
 
-    Each distinct product is tested once; a failing one is reported as many
-    times as the factor pairs that form it.
+    Factors are grouped into classes whose products all share one
+    membership in W(f, c, r), c = a * b, and one product per class pair is
+    tested.  Proof: h is in W(f, c, r) when its pairs with source below r
+    are c's, and at most f(|c|) of its pairs hit a target below r outside
+    im(c); once the first clause holds, only pairs with source >= r can
+    count.  For h = d * e:
+
+    - the pairs with source below r are (x, e(y)) for the pairs (x, y) of
+      d with x < r and y in dom(e), so they depend on those pairs of d and
+      on e at their targets;
+    - the counted pairs with source >= r are one per target y of d's other
+      pairs that lies in S(e), the sources that e sends below r outside
+      im(c); with d's low pairs fixed, d's image fixes those targets.
+
+    So a left factor d matters only through (its pairs below r, im(d)), and
+    a right factor e only through (e at every low target of the left
+    classes, S(e)).  A class pair whose tested product fails has each of
+    its products formed and tested, and a failing one is reported as many
+    times as the factor pairs that form it; ``cases`` still counts every
+    factor pair.
     """
     started = time.perf_counter()
     c = a * b
@@ -198,7 +227,24 @@ def product_containment_check(
     label = dumps(
         {"f": fn_to_obj(f), "a": pb_to_obj(a), "b": pb_to_obj(b), "p": p, "r": r}
     )
-    products = Counter(product_pairs(d, e) for d in left for e in right)
+    left_classes = _classes(
+        left, lambda d: (d.pairs[: bisect_left(d.pairs, (r,))], d.image)
+    )
+    shown = sorted(
+        {y for ds in left_classes for x, y in ds[0].pairs if x < r}
+    )
+    right_classes = _classes(
+        right,
+        lambda e: (
+            tuple(e.get(y) for y in shown),
+            tuple(x for x, y in e.pairs if y < r and not c.has_target(y)),
+        ),
+    )
+    products: Counter = Counter()
+    for ds in left_classes:
+        for es in right_classes:
+            if not de.member(wc, ds[0] * es[0]):
+                products.update(product_pairs(d, e) for d in ds for e in es)
     found = []
     for pairs, times in products.items():
         h = PBij._from_sorted(pairs)
@@ -679,6 +725,8 @@ def run_suite(
     build, _, default_bound, default_sample = _SUITES[name]
     bound = default_bound if bound is None else bound
     sample = default_sample if sample is None else sample
+    if sample < 0:
+        raise DomainError(f"sample must be non-negative, got {sample}")
     started = time.perf_counter()
     cases = build(bound, seed, sample)
     workers = min(jobs, len(cases), available_cpus())

@@ -21,19 +21,20 @@ class PBij:
     _inv: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, pairs: Iterable[Iterable[int]] = ()):
-        canon = sorted((int(x), int(y)) for x, y in pairs)
         fwd = {}
         bwd = {}
-        for x, y in canon:
-            if x < 0 or y < 0:
-                raise DomainError(f"negative point in pair ({x}, {y})")
+        for x, y in pairs:
+            # points are plain ints: bools, floats and negatives are refused,
+            # not truncated
+            if type(x) is not int or type(y) is not int or x < 0 or y < 0:
+                raise DomainError(f"pair ({x!r}, {y!r}) is not a pair of naturals")
             if x in fwd:
                 raise DomainError(f"source {x} mapped twice")
             if y in bwd:
                 raise DomainError(f"target {y} hit twice")
             fwd[x] = y
             bwd[y] = x
-        object.__setattr__(self, "pairs", tuple(canon))
+        object.__setattr__(self, "pairs", tuple(sorted(fwd.items())))
         object.__setattr__(self, "_map", fwd)
         object.__setattr__(self, "_inv", bwd)
 

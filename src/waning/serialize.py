@@ -4,7 +4,8 @@ Extended naturals serialize as ints with the single non-numeric token
 ``"omega"``; every integer field must be a JSON natural, so floats, bools
 and negatives raise ``DomainError`` instead of being truncated, and so does
 an object key that the decoder does not read.  Partial bijections are sorted
-arrays of two-element arrays, sets of naturals arrays of naturals.
+arrays of two-element arrays, sets of naturals arrays of naturals, and
+poset labels JSON strings.
 Waning functions are ``{"const":"omega"}`` or ``{"omega_prefix":k,"drops":[...]}``;
 eventually-constant functions are ``{"prefix":[...],"tail":v,"omega":v}``.
 Descriptors are tagged objects, topologies ``{"direct":...}``/``{"dual":...}``.
@@ -69,7 +70,7 @@ def pb_to_obj(p: PBij) -> list:
 def pb_from_obj(obj: Any) -> PBij:
     if not isinstance(obj, list):
         raise DomainError(f"expected an array of pairs, got {obj!r}")
-    return PBij((_nat_from_obj(x), _nat_from_obj(y)) for x, y in obj)
+    return PBij(obj)
 
 
 def waning_to_obj(w: WaningFn) -> dict:
@@ -204,7 +205,12 @@ def poset_from_obj(obj: Any):
     if not isinstance(obj, dict):
         raise DomainError(f"expected a poset object, got {obj!r}")
     _check_keys(obj, "elements", "leq")
-    return FinitePoset(obj.get("elements", ()), obj.get("leq", ()))
+    elements = obj.get("elements", [])
+    leq = obj.get("leq", [])
+    for label in (*elements, *(label for pair in leq for label in pair)):
+        if not isinstance(label, str):
+            raise DomainError(f"poset labels must be strings, got {label!r}")
+    return FinitePoset(elements, leq)
 
 
 def dumps(obj: Any) -> str:

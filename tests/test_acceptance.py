@@ -104,6 +104,19 @@ def test_criterion_05_continuity():
     )
 
 
+def test_criterion_05b_continuity_bound6():
+    _suite_criterion(
+        "05b",
+        "multiplication continuity at bound 6",
+        10.0,
+        "continuity",
+        bound=6,
+        seed=1,
+        sample=100,
+        jobs=1,
+    )
+
+
 def test_criterion_06_order_dichotomy():
     _suite_criterion(
         "06", "order dichotomy", 10.0, "order", seed=1, sample=50

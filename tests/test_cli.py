@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import pytest
 
@@ -392,3 +394,52 @@ def test_verify_writes_document(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out_file.read_text())
     assert doc["suite"] == "remark" and doc["counterexamples"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [
+            "witness", "--kind", "basis", "--f", '{"const":"omega"}',
+            "--pb", "[[0,0],[1,1]]", "--n", "-1",
+        ],
+        ["witness", "--kind", "much-wan", "--f", '{"const":"omega"}', "--pb", "[]", "--r", "-1"],
+        ["verify", "--suite", "continuity", "--sample", "-3", "--jobs", "1"],
+    ],
+    ids=["n", "r", "sample"],
+)
+def test_negative_integer_flags_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_embed_rejects_labels_that_are_not_strings(capsys, tmp_path):
+    poset = tmp_path / "poset.json"
+    poset.write_text('{"elements":[1.5,true],"leq":[[1.5,1.5],[true,true]]}')
+    code, out, err = run(capsys, "embed", "--poset", str(poset))
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_closed_stdout_is_not_a_usage_error(capsys, monkeypatch, tmp_path):
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    # main points the stub's descriptor at devnull, so hand it a file's
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        code = main(["verify", "--suite", "census", "--jobs", "1"])
+    finally:
+        os.close(fd)
+    assert code == 141
+    assert capsys.readouterr().err == ""

@@ -52,6 +52,14 @@ def test_validation_rejects_non_bijections():
         PBij([(-1, 0)])
 
 
+@pytest.mark.parametrize(
+    "pairs", [[(1.5, 2)], [(1.5, 2), (True, 0)], [(0, False)], [("1", 2)]]
+)
+def test_non_integer_points_rejected_not_truncated(pairs):
+    with pytest.raises(DomainError, match="not a pair of naturals"):
+        PBij(pairs)
+
+
 def test_reindex_examples():
     assert reindex({0, 2}, 1) == 3
     assert reindex(set(), 7) == 7

@@ -109,6 +109,18 @@ def test_poset_from_obj():
 
 
 @pytest.mark.parametrize(
+    "obj",
+    [
+        {"elements": [1.5, True], "leq": [[1.5, 1.5], [True, True]]},
+        {"elements": ["1"], "leq": [[1, "1"]]},
+    ],
+)
+def test_poset_labels_must_be_strings(obj):
+    with pytest.raises(DomainError, match="labels must be strings"):
+        poset_from_obj(obj)
+
+
+@pytest.mark.parametrize(
     "parse, obj",
     [
         (descriptor_from_obj, {"dommiss": 2.7}),
