@@ -17,9 +17,6 @@ class _Omega:
     def __eq__(self, other):
         return isinstance(other, _Omega)
 
-    def __ne__(self, other):
-        return not isinstance(other, _Omega)
-
     def __lt__(self, other):
         return False
 

@@ -68,7 +68,9 @@ class WaningFn:
     const_omega: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "drops", tuple(int(d) for d in self.drops))
+        object.__setattr__(self, "drops", tuple(self.drops))
+        if any(type(v) is not int for v in (self.omega_prefix, *self.drops)):
+            raise DomainError(f"not plain ints: {self.omega_prefix!r}, {self.drops!r}")
         if self.const_omega:
             if self.omega_prefix or self.drops:
                 raise DomainError("constant-omega form carries no finite data")

@@ -3,26 +3,32 @@
 A ``PBij`` is an injective partial map on a finite subset of the naturals,
 stored as a canonically sorted tuple of ``(source, target)`` pairs.  Values
 are immutable and hashable; composition applies the left factor first, so
-``(a * b)(x) == b(a(x))``.
+``(a * b).get(x) == b.get(a.get(x))`` wherever ``a * b`` is defined.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Literal
 
 from .errors import DomainError, PreconditionError
 
 
 @dataclass(frozen=True)
 class PBij:
+    """A partial bijection whose only stored state is ``pairs``.
+
+    The lookups behind ``get``, ``has_target``, ``domain`` and ``image`` are
+    built on first use; equality, hashing, ``repr`` and pickles use ``pairs``.
+    """
+
+    __slots__ = ("pairs", "__dict__")  # pairs loads stay fast when __dict__ fills
     pairs: tuple[tuple[int, int], ...]
-    _map: dict = field(init=False, repr=False, compare=False)
-    _inv: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, pairs: Iterable[Iterable[int]] = ()):
         fwd = {}
-        bwd = {}
+        targets = set()
         for x, y in pairs:
             # points are plain ints: bools, floats and negatives are refused,
             # not truncated
@@ -30,21 +36,17 @@ class PBij:
                 raise DomainError(f"pair ({x!r}, {y!r}) is not a pair of naturals")
             if x in fwd:
                 raise DomainError(f"source {x} mapped twice")
-            if y in bwd:
+            if y in targets:
                 raise DomainError(f"target {y} hit twice")
             fwd[x] = y
-            bwd[y] = x
+            targets.add(y)
         object.__setattr__(self, "pairs", tuple(sorted(fwd.items())))
-        object.__setattr__(self, "_map", fwd)
-        object.__setattr__(self, "_inv", bwd)
 
     @classmethod
     def _from_sorted(cls, canon: tuple[tuple[int, int], ...]) -> "PBij":
         """Fast path for pairs already known to be sorted and bijective."""
         self = object.__new__(cls)
         object.__setattr__(self, "pairs", canon)
-        object.__setattr__(self, "_map", dict(canon))
-        object.__setattr__(self, "_inv", {y: x for x, y in canon})
         return self
 
     @classmethod
@@ -54,29 +56,23 @@ class PBij:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
-
-    def __contains__(self, pair) -> bool:
-        x, y = pair
-        return self._map.get(x) == y
-
-    def __call__(self, x: int) -> int:
-        return self._map[x]
+    @cached_property
+    def _map(self) -> dict[int, int]:
+        return dict(self.pairs)
 
     def get(self, x: int, default=None):
         return self._map.get(x, default)
 
     def has_target(self, y: int) -> bool:
-        return y in self._inv
+        return y in self.image
 
     @property
     def domain(self) -> frozenset[int]:
         return frozenset(self._map)
 
-    @property
+    @cached_property
     def image(self) -> frozenset[int]:
-        return frozenset(self._inv)
+        return frozenset(y for _, y in self.pairs)
 
     def __mul__(self, other: "PBij") -> "PBij":
         return PBij._from_sorted(product_pairs(self, other))
@@ -94,6 +90,9 @@ class PBij:
     def extends(self, other: "PBij") -> bool:
         """True when every pair of ``other`` is a pair of self."""
         return all(self._map.get(x) == y for x, y in other.pairs)
+
+    def __reduce__(self):
+        return PBij._from_sorted, (self.pairs,)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{x}↦{y}" for x, y in self.pairs)

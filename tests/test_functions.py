@@ -10,6 +10,7 @@ from waning import (
     OMEGA,
     SIZE_LIMIT,
     BoundTooLarge,
+    DomainError,
     GenFn,
     NotWaning,
     OmegaEntries,
@@ -268,6 +269,21 @@ def test_canonical_equality_is_pointwise():
     assert any(f(i) != g(i) for i in range(horizon(f, g)))
     same = WaningFn(omega_prefix=1, drops=(3, 1))
     assert f == same and hash(f) == hash(same)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"drops": (2.5,)},
+        {"drops": (True,)},
+        {"drops": (3, "1")},
+        {"omega_prefix": 1.5},
+        {"omega_prefix": True},
+    ],
+)
+def test_non_integer_entries_rejected_not_truncated(kwargs):
+    with pytest.raises(DomainError, match="not plain ints"):
+        WaningFn(**kwargs)
 
 
 def test_from_values_rejects_bad_shapes():

@@ -299,6 +299,14 @@ def test_determinism_across_workers():
     assert serial.counterexamples == parallel.counterexamples
 
 
+def test_counterexamples_come_back_from_workers():
+    serial = run_suite("continuity", bound=4, seed=10, jobs=1).to_obj()
+    parallel = run_suite("continuity", bound=4, seed=10, jobs=2).to_obj()
+    del serial["ms"], parallel["ms"]
+    assert parallel == serial
+    assert len(serial["counterexamples"]) == 222
+
+
 def test_run_suite_caps_workers(monkeypatch):
     import multiprocessing
 

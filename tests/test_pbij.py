@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given
@@ -58,6 +60,22 @@ def test_validation_rejects_non_bijections():
 def test_non_integer_points_rejected_not_truncated(pairs):
     with pytest.raises(DomainError, match="not a pair of naturals"):
         PBij(pairs)
+
+
+def test_lookup_cache_leaves_value_semantics_alone():
+    pairs = [(3, 1), (0, 5), (4, 4)]
+    used = PBij(pairs)
+    assert used.get(3) == 1 and used.get(2) is None
+    assert used.has_target(5) and not used.has_target(0)
+    assert used.image == {1, 4, 5} and used.domain == {0, 3, 4}
+    fresh = PBij(pairs)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == "PBij({0↦5, 3↦1, 4↦4})"
+    for original in (used, fresh):
+        copy = pickle.loads(pickle.dumps(original))
+        assert copy == fresh and hash(copy) == hash(fresh)
+        assert copy.get(0) == 5 and copy.has_target(1) and not copy.has_target(3)
+        assert copy.domain == {0, 3, 4} and copy.image == {1, 4, 5}
 
 
 def test_reindex_examples():

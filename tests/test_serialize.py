@@ -44,6 +44,7 @@ def test_value_round_trip():
     assert value_from_obj(value_to_obj(OMEGA)) == OMEGA
     assert value_from_obj(value_to_obj(7)) == 7
     assert value_to_obj(OMEGA) == "omega"
+    assert OMEGA != 3 and 3 != OMEGA and not (OMEGA != OMEGA)
 
 
 def test_pb_round_trip():
