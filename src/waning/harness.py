@@ -10,7 +10,11 @@ elapsed-time field varies between runs.
 Checks scan only candidate elements.  Members of a W or FixBelow set agree
 with g below r, so they lie in one prefix run of the lexicographically
 sorted universe, found by bisection; other kinds scan the whole universe.
-Every scanned element is still tested with ``descriptors.member``.  The
+Membership in a descriptor reads only an element's image and its pairs
+with source below the descriptor's reach, so subset and equality checks and
+the continuity check's factor filters group the scanned elements by those
+and test one element per class with ``descriptors.member``; a subset or
+equality check tests every element of a failing class again.  The
 continuity check groups left factors by their pairs with source below r and
 their image, and right factors by their values on the left classes' low
 targets and the sources they send below r outside im(a * b); it tests one
@@ -31,7 +35,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, ne
 from typing import Iterable, Optional
 
 from . import descriptors as de
@@ -145,21 +149,67 @@ def _report(name: str, cases: int, found, started: float) -> CheckReport:
     )
 
 
+def _reach(d: de.SetDescriptor, bound: int) -> int:
+    """A radius R such that ``member(d, h)`` reads only im(h) and h's pairs
+    with source below R: a U or ImMiss set reads the image alone, a point or
+    domain test at x reads h(x), a W or FixBelow set the pairs below r and
+    the image, a Wany set whether a source lies below n and the image, and
+    an intersection what its parts read.  Other kinds read ``bound``, which
+    in the universe is all of h."""
+    if isinstance(d, (de.UBasic, de.ImMiss)):
+        return 0
+    if isinstance(d, (de.PointHit, de.DomMiss)):
+        return d.x + 1
+    if isinstance(d, (de.WNbhd, de.FixBelow)):
+        return d.r
+    if isinstance(d, de.Wany):
+        return d.n
+    if isinstance(d, de.Intersection):
+        return max((_reach(part, bound) for part in d.parts), default=0)
+    return bound
+
+
+def _member_classes(ds, scan: Iterable[PBij], bound: int) -> list[list[PBij]]:
+    """``scan`` grouped by (pairs with source below R, image), R the largest
+    reach of ``ds``.  Membership in each d of ``ds`` is constant on a class:
+    it reads the image and the pairs below ``_reach(d)`` <= R, which the
+    pairs below R fix."""
+    reach = max(_reach(d, bound) for d in ds)
+    return _classes(
+        scan, lambda h: (h.pairs[: bisect_left(h.pairs, (reach,))], h.image)
+    )
+
+
+def _members(d: de.SetDescriptor, bound: int) -> list[PBij]:
+    """The members of ``d`` in the universe, one tested per member class."""
+    classes = _member_classes((d,), _candidates(d, bound), bound)
+    return [h for hs in classes if de.member(d, hs[0]) for h in hs]
+
+
+def _failing(d1, d2, scan, bound: int, fails) -> list[PBij]:
+    """The elements h of ``scan`` with ``fails(h in d1, h in d2)``, in
+    universe order.  One element per member class is tested, and every
+    element of a class whose tested element fails."""
+
+    def failed(h: PBij) -> bool:
+        return fails(de.member(d1, h), de.member(d2, h))
+
+    classes = _member_classes((d1, d2), scan, bound)
+    found = (h for hs in classes if failed(hs[0]) for h in hs if failed(h))
+    return sorted(found, key=_PAIRS)
+
+
 def _escapes(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[PBij]:
     """Universe elements in the first set but not the second."""
-    return [
-        h for h in _candidates(d1, bound) if de.member(d1, h) and not de.member(d2, h)
-    ]
+    return _failing(d1, d2, _candidates(d1, bound), bound, lambda a, b: a and not b)
 
 
 def _mismatches(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[PBij]:
     """Universe elements in exactly one of the two sets."""
-    scan = set(_candidates(d1, bound)).union(_candidates(d2, bound))
-    return [
-        h
-        for h in sorted(scan, key=_PAIRS)
-        if de.member(d1, h) != de.member(d2, h)
-    ]
+    scan, other = _candidates(d1, bound), _candidates(d2, bound)
+    if other != scan:
+        scan = sorted(set(scan).union(other), key=_PAIRS)
+    return _failing(d1, d2, scan, bound, ne)
 
 
 def subset_check(
@@ -222,8 +272,7 @@ def product_containment_check(
     wa = de.WNbhd(f, a, p)
     wb = de.WNbhd(f, b, p)
     wc = de.WNbhd(f, c, r)
-    left = [d for d in _candidates(wa, bound) if de.member(wa, d)]
-    right = [e for e in _candidates(wb, bound) if de.member(wb, e)]
+    left, right = _members(wa, bound), _members(wb, bound)
     label = dumps(
         {"f": fn_to_obj(f), "a": pb_to_obj(a), "b": pb_to_obj(b), "p": p, "r": r}
     )
@@ -696,13 +745,17 @@ def available_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _eval_cases(args):
-    name, bound, cases = args
-    _, evaluate, _, _ = _SUITES[name]
-    found = []
-    for case in cases:
-        found.extend(evaluate(bound, case))
-    return found
+def _eval_chunk(args) -> list[tuple[str, tuple]]:
+    """Counterexamples of every ``workers``-th case from ``index``, rebuilt
+    from the seeded settings, as (label, pairs): a worker's tasks and results
+    are builtins, whatever cases and witnesses pickle to."""
+    name, bound, seed, sample, index, workers = args
+    build, evaluate, _, _ = _SUITES[name]
+    return [
+        (label, h.pairs)
+        for case in build(bound, seed, sample)[index::workers]
+        for label, h in evaluate(bound, case)
+    ]
 
 
 def run_suite(
@@ -722,7 +775,7 @@ def run_suite(
         raise UnknownSuite(f"unknown suite {name!r} (have {', '.join(_SUITES)})")
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
-    build, _, default_bound, default_sample = _SUITES[name]
+    build, evaluate, default_bound, default_sample = _SUITES[name]
     bound = default_bound if bound is None else bound
     sample = default_sample if sample is None else sample
     if sample < 0:
@@ -734,12 +787,12 @@ def run_suite(
         import multiprocessing as mp
 
         # fork: a spawned worker would enumerate the universe again
-        chunks = [cases[i::workers] for i in range(workers)]
+        chunks = [(name, bound, seed, sample, i, workers) for i in range(workers)]
         with mp.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(
-                _eval_cases, [(name, bound, chunk) for chunk in chunks]
-            )
-        found = [c for part in parts for c in part]
+            parts = pool.map(_eval_chunk, chunks)
+        found = [
+            (label, PBij._from_sorted(pairs)) for part in parts for label, pairs in part
+        ]
     else:
-        found = _eval_cases((name, bound, cases))
+        found = [c for case in cases for c in evaluate(bound, case)]
     return _report(name, len(cases), found, started)

@@ -6,7 +6,18 @@ import signal
 import hypothesis.strategies as st
 import pytest
 
-from waning import OMEGA, GenFn, PBij, WaningFn, is_omega
+from waning import OMEGA, GenFn, PBij, WaningFn, is_omega, valid_r_min
+from waning.descriptors import (
+    DomMiss,
+    Dual,
+    FixBelow,
+    ImMiss,
+    Intersection,
+    PointHit,
+    UBasic,
+    Wany,
+    WNbhd,
+)
 
 
 @st.composite
@@ -37,6 +48,35 @@ def genfns(draw):
     tail = draw(st.sampled_from([0, OMEGA]))
     omega = draw(st.sampled_from([0, OMEGA]))
     return GenFn(prefix=prefix, tail=tail, omega=omega)
+
+
+@st.composite
+def wnbhds(draw, max_point=4):
+    f = draw(waning_fns())
+    g = draw(pbijs(max_point=max_point, max_size=3))
+    return WNbhd(f, g, valid_r_min(f, g) + draw(st.integers(0, 2)))
+
+
+def descriptors(max_point=4):
+    """Descriptors of every kind over points up to ``max_point``, with
+    duals and intersections nested."""
+    point = st.integers(0, max_point)
+    points = st.frozensets(point, max_size=3)
+    leaves = st.one_of(
+        st.builds(PointHit, point, point),
+        st.builds(DomMiss, point),
+        st.builds(ImMiss, point),
+        st.builds(UBasic, waning_fns() | genfns(), st.integers(0, 3), points),
+        wnbhds(max_point),
+        st.builds(Wany, st.integers(0, 3), st.lists(points, min_size=1, max_size=3)),
+        st.builds(FixBelow, pbijs(max_point=max_point, max_size=3), point),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.builds(Dual, inner)
+        | st.builds(Intersection, st.lists(inner, max_size=3)),
+        max_leaves=6,
+    )
 
 
 def closure_closed_form(f: GenFn, i: int):

@@ -90,6 +90,19 @@ def test_criterion_04_closure_neighbourhoods():
     )
 
 
+def test_criterion_04b_closure_neighbourhoods_bound6():
+    _suite_criterion(
+        "04b",
+        "closure neighbourhood equality and refinement at bound 6",
+        10.0,
+        "much-wan",
+        bound=6,
+        seed=1,
+        sample=100,
+        jobs=1,
+    )
+
+
 def test_criterion_05_continuity():
     jobs = min(4, os.cpu_count() or 1)
     _suite_criterion(

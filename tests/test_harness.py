@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import pbijs
+from strategies import deadline, descriptors, pbijs
 from waning import (
     CONST_OMEGA,
     CONST_ZERO,
@@ -124,6 +124,25 @@ def test_candidates_cover_prefix_sets(f, g, radius, bound):
     except InvalidDescriptor:
         return
     _assert_candidates_cover(w, bound)
+
+
+@given(descriptors(), descriptors(), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_class_scans_match_a_naive_scan(d1, d2, bound):
+    us = enumerate_universe(bound)
+    assert harness._escapes(d1, d2, bound) == [
+        h for h in us if member(d1, h) and not member(d2, h)
+    ]
+    assert harness._mismatches(d1, d2, bound) == [
+        h for h in us if member(d1, h) != member(d2, h)
+    ]
+
+
+@given(descriptors())
+@settings(max_examples=200, deadline=None)
+def test_membership_is_constant_on_reach_classes(d):
+    for hs in harness._member_classes((d,), enumerate_universe(4), 4):
+        assert len({member(d, h) for h in hs}) == 1
 
 
 def test_subset_check_examples():
@@ -299,9 +318,17 @@ def test_determinism_across_workers():
     assert serial.counterexamples == parallel.counterexamples
 
 
-def test_counterexamples_come_back_from_workers():
+def _unrestorable():
+    raise RuntimeError("a PBij crossed the worker pipe")
+
+
+def test_counterexamples_come_back_from_workers(monkeypatch):
+    # a worker that cannot unpickle its task dies, and the pool waits for it,
+    # so only builtins may cross the pipe
+    monkeypatch.setattr(PBij, "__reduce__", lambda self: (_unrestorable, ()))
     serial = run_suite("continuity", bound=4, seed=10, jobs=1).to_obj()
-    parallel = run_suite("continuity", bound=4, seed=10, jobs=2).to_obj()
+    with deadline(20):
+        parallel = run_suite("continuity", bound=4, seed=10, jobs=2).to_obj()
     del serial["ms"], parallel["ms"]
     assert parallel == serial
     assert len(serial["counterexamples"]) == 222
