@@ -10,11 +10,14 @@ Usage errors (text that is not JSON, a payload of the wrong shape, a
 (a negative ``--n``, ``--r`` or ``--sample`` among them) exit 1, and checks
 that find counterexamples exit 3.  A reader that closes stdout early, as
 ``| head`` does, ends the run quietly with status 141, as SIGPIPE would.
+The parser is built once per process; each ``main`` call parses into a
+fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -238,6 +241,7 @@ def _cmd_verify(args) -> int:
     return _report_exit(report, args.out)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="waning",

@@ -21,6 +21,7 @@ from typing import Iterable, Union
 from .errors import (
     BadBase,
     BoundTooLarge,
+    DomainError,
     InvalidDescriptor,
     InvalidR,
     NoWitness,
@@ -185,9 +186,17 @@ def valid_r_min(f: WaningFn, g: PBij) -> int:
     f(k) = f(|g|).  The least such r is one past the source of g's k-th
     pair, or 0 when k = 0.  Every larger radius is also valid and shrinks
     the neighbourhood.
+
+    The least k is read off the canonical form: k = 0 when f is constant
+    OMEGA or |g| < omega_prefix, else k = min(|g|, support_end).  Proof:
+    f(0) = OMEGA = f(|g|) in the first two cases.  Otherwise f(|g|) is a
+    drop or 0.  Every index before a drop holds OMEGA or a larger drop, as
+    the drops strictly decrease, so a drop f(|g|) is first taken at |g|;
+    0 is first taken at support_end <= |g|.
     """
-    size_value = f(len(g))
-    k = next(i for i in range(len(g) + 1) if f(i) == size_value)
+    if f.const_omega or len(g) < f.omega_prefix:
+        return 0
+    k = min(len(g), f.support_end)
     return g.pairs[k - 1][0] + 1 if k else 0
 
 
@@ -228,11 +237,11 @@ def much_wan_witness(f: GenFn, g: PBij, r: int) -> SetDescriptor:
         return FixBelow(g, r)
     if r > SIZE_LIMIT:
         raise BoundTooLarge(f"the witness avoids {r} points, above {SIZE_LIMIT}")
-    i = len(g.restrict(r))
+    i = bisect_left(g.pairs, (r,))
     j = min(range(i + 1), key=lambda jj: f(jj) - (i - jj))
     b = fp(i) + i - f(j)
     outside = frozenset(range(r)) - g.image
-    hits = sorted(g.restrict(r).image)
+    hits = sorted(y for _, y in g.pairs[:i])
     picked = frozenset(hits[: i - b])
     return Intersection((FixBelow(g, r), UBasic(f, j, outside | picked)))
 
@@ -302,8 +311,11 @@ def order_counterexample(
         raise BoundTooLarge(f"the witness has {b} pairs, above {SIZE_LIMIT}")
     if r <= b:
         raise PreconditionError(f"radius {r} must exceed the separation bound {b}")
+    if type(r) is not int:
+        raise DomainError(f"radius {r!r} is not a natural")
+    # sources 0..n-1 then from r > b > n on, targets 0..b-1: sorted and injective
     extra = tuple((r + i, n + i) for i in range(b - n))
-    return n, b, PBij(PBij.identity(n).pairs + extra)
+    return n, b, PBij._from_sorted(PBij.identity(n).pairs + extra)
 
 
 def cover_witness(
@@ -323,12 +335,15 @@ def cover_witness(
     """
     avoid = frozenset(avoid)
     covered = frozenset(covered_m)
-    if any(x >= n for x in h0.domain) or (h0.image & avoid):
+    if (h0.pairs and h0.pairs[-1][0] >= n) or not h0.image.isdisjoint(avoid):
         raise BadBase("base is not a partial bijection from n avoiding the set")
     if not includes_dommiss and not covered:
         return h0
+    if type(n) is not int or n < 0:
+        raise DomainError(f"{n!r} is not a natural")
     banned = avoid | h0.image | covered
     v = 0
     while v in banned:
         v += 1
-    return PBij(h0.pairs + ((n, v),))
+    # n lies past every source of h0 and v outside its image
+    return PBij._from_sorted(h0.pairs + ((n, v),))

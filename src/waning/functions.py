@@ -16,6 +16,7 @@ are meets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
 from typing import Iterable
 
 from .errors import BoundTooLarge, DomainError, NotWaning, OmegaEntries
@@ -68,20 +69,20 @@ class WaningFn:
     const_omega: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "drops", tuple(self.drops))
-        if any(type(v) is not int for v in (self.omega_prefix, *self.drops)):
-            raise DomainError(f"not plain ints: {self.omega_prefix!r}, {self.drops!r}")
+        drops = tuple(self.drops)
+        object.__setattr__(self, "drops", drops)
+        if {type(self.omega_prefix), *map(type, drops)} != {int}:
+            raise DomainError(f"not plain ints: {self.omega_prefix!r}, {drops!r}")
         if self.const_omega:
-            if self.omega_prefix or self.drops:
+            if self.omega_prefix or drops:
                 raise DomainError("constant-omega form carries no finite data")
             return
         if self.omega_prefix < 0:
             raise DomainError("negative omega prefix")
-        if self.drops and self.drops[-1] < 1:
-            raise DomainError(f"drops must stay positive: {self.drops}")
-        for a, b in zip(self.drops, self.drops[1:]):
-            if b >= a:
-                raise DomainError(f"drops not strictly decreasing: {self.drops}")
+        if drops and drops[-1] < 1:
+            raise DomainError(f"drops must stay positive: {drops}")
+        if not all(map(gt, drops, drops[1:])):
+            raise DomainError(f"drops not strictly decreasing: {drops}")
 
     @classmethod
     def from_values(cls, values: Iterable[ExtNat]) -> "WaningFn":
@@ -113,11 +114,11 @@ class WaningFn:
             return OMEGA
         if is_omega(i):
             return 0
-        if i < 0:
-            raise DomainError(f"negative index {i}")
-        if i < self.omega_prefix:
-            return OMEGA
         j = i - self.omega_prefix
+        if j < 0:
+            if i < 0:
+                raise DomainError(f"negative index {i}")
+            return OMEGA
         return self.drops[j] if j < len(self.drops) else 0
 
     @property
@@ -177,23 +178,30 @@ def closure(f: GenFn) -> WaningFn:
 
     Step rules: start at ``f(0)``; while the running value is nonzero the
     next value is ``min(f(i+1), value - 1)``; once 0 is reached stay at 0.
-    An everywhere-OMEGA run yields the constant-OMEGA function.  Raises
-    BoundTooLarge when the result would have more than SIZE_LIMIT drops.
+    An everywhere-OMEGA run yields the constant-OMEGA function.  Past the
+    prefix every step reads the tail, so the remaining drops count down from
+    ``min(tail, value - 1)``.  Raises BoundTooLarge when the result would
+    have more than SIZE_LIMIT drops.
     """
+    prefix, tail = f.prefix, f.tail
     i = 0
-    while is_omega(f(i)):
-        if i >= len(f.prefix) and is_omega(f.tail):
-            return CONST_OMEGA
+    while i < len(prefix) and is_omega(prefix[i]):
         i += 1
-    omega_prefix, value = i, f(i)
+    if i == len(prefix) and is_omega(tail):
+        return CONST_OMEGA
     drops: list[int] = []
-    while value != 0:
-        if len(drops) == SIZE_LIMIT:
-            raise BoundTooLarge(f"the closure has more than {SIZE_LIMIT} drops")
+    value, rest = OMEGA, 0
+    for v in prefix[i:]:
+        value = min(v, value - 1)
+        if value == 0:
+            break
         drops.append(value)
-        i += 1
-        value = min(f(i), value - 1)
-    return WaningFn(omega_prefix, tuple(drops))
+    else:
+        rest = min(tail, value - 1)
+    if len(drops) + rest > SIZE_LIMIT:
+        raise BoundTooLarge(f"the closure has more than {SIZE_LIMIT} drops")
+    drops.extend(range(rest, 0, -1))
+    return WaningFn(i, tuple(drops))
 
 
 def preceq(f: WaningFn, g: WaningFn) -> bool:

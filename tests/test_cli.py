@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
+import waning
+import waning.cli as cli
 from strategies import deadline
 from waning.cli import main
 from waning.harness import run_suite
@@ -443,3 +446,42 @@ def test_closed_stdout_is_not_a_usage_error(capsys, monkeypatch, tmp_path):
         os.close(fd)
     assert code == 141
     assert capsys.readouterr().err == ""
+
+
+def fresh_run(*argv):
+    """Exit code and stdout of the same command in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(waning.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "waning.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    return done.returncode, done.stdout
+
+
+def test_reused_parser_keeps_nothing_between_calls(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    a = '{"omega_prefix":0,"drops":[3]}'
+    b = '{"omega_prefix":1,"drops":[]}'
+    calls = [
+        ("hasse", "--f", a),
+        ("hasse", "--f", b),
+        ("member", "--Ys", "[[1]]", "--n", "1", "--pb", "[[0,0]]"),
+        ("member", "--d", '{"immiss":0}', "--pb", "[[1,0]]"),
+        ("member", "--Ys", "[[1]]", "--pb", "[[0,0]]"),
+        ("witness", "--kind", "cover", "--n", "2", "--pb", "[[0,0]]", "--m", "[1]"),
+        ("witness", "--kind", "cover", "--pb", "[]", "--m", "[1]"),
+    ]
+    outputs = []
+    for argv in calls:
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == fresh_run(*argv), argv
+        outputs.append(out)
+    # the second hasse call draws B alone, not A and B
+    assert "[3]" in outputs[0] and "[3]" not in outputs[1]
+    # the last member call has no --n, so source 0 is not excluded
+    assert outputs[2:5] == ["false\n", "false\n", "true\n"]
+    assert json.loads(outputs[5]) == [[0, 0], [2, 2]]
+    assert json.loads(outputs[6]) == [[0, 0]]

@@ -7,6 +7,7 @@ from waning import (
     CONST_OMEGA,
     CONST_ZERO,
     OMEGA,
+    DomainError,
     SIZE_LIMIT,
     BadBase,
     BoundTooLarge,
@@ -403,6 +404,42 @@ def test_cover_witness_examples():
         cover_witness(1, pb((2, 0)), set(), set(), False)
     with pytest.raises(BadBase):
         cover_witness(1, pb((0, 2)), {2}, set(), False)
+
+
+@given(waning_fns(), waning_fns(), st.integers(0, 3))
+@settings(max_examples=100)
+def test_order_counterexample_is_a_checked_element(f, g, extra):
+    r = (0 if f.const_omega else f.support_end) + max(f.drops, default=0) + 2 + extra
+    try:
+        _, _, h = order_counterexample(f, g, r)
+    except NoWitness:
+        return
+    assert h == PBij(list(h.pairs))
+
+
+@given(
+    st.integers(0, 5),
+    pbijs(max_point=5, max_size=3),
+    st.frozensets(st.integers(0, 6), max_size=3),
+    st.frozensets(st.integers(0, 6), max_size=3),
+    st.booleans(),
+)
+def test_cover_witness_is_a_checked_element(n, h0, avoid, covered, dommiss):
+    if any(x >= n for x in h0.domain) or h0.image & avoid:
+        with pytest.raises(BadBase):
+            cover_witness(n, h0, avoid, covered, dommiss)
+        return
+    h = cover_witness(n, h0, avoid, covered, dommiss)
+    assert h == PBij(list(h.pairs))
+
+
+def test_witnesses_refuse_points_that_are_not_naturals():
+    for n in (-1, 2.5, True):
+        with pytest.raises(DomainError):
+            cover_witness(n, EMPTY, set(), {0}, False)
+    for r in (2.5, 7.0):
+        with pytest.raises(DomainError):
+            order_counterexample(CONST_ZERO, WaningFn(drops=(1,)), r)
 
 
 @given(pbijs(max_point=3, max_size=2))

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from hypothesis import settings
 
@@ -293,3 +294,78 @@ def test_from_values_rejects_bad_shapes():
         WaningFn.from_values([0, 3])
     with pytest.raises(NotWaning):
         WaningFn.from_values([3, OMEGA])
+
+
+def stepping_call(f, i):
+    """Oracle: evaluate a canonical form by testing the OMEGA run, then
+    stepping into the drops."""
+    if f.const_omega:
+        return OMEGA
+    if is_omega(i):
+        return 0
+    if i < 0:
+        raise DomainError(f"negative index {i}")
+    if i < f.omega_prefix:
+        return OMEGA
+    j = i - f.omega_prefix
+    return f.drops[j] if j < len(f.drops) else 0
+
+
+def stepping_closure(f):
+    """Oracle: the closure's step rules, calling ``f`` at every index."""
+    i = 0
+    while is_omega(f(i)):
+        if i >= len(f.prefix) and is_omega(f.tail):
+            return CONST_OMEGA
+        i += 1
+    omega_prefix, value = i, f(i)
+    drops = []
+    while value != 0:
+        drops.append(value)
+        i += 1
+        value = min(f(i), value - 1)
+    return WaningFn(omega_prefix, tuple(drops))
+
+
+@given(waning_fns(), st.one_of(st.integers(-3, 16), st.just(OMEGA)))
+def test_call_matches_stepping_definition(f, i):
+    if not is_omega(i) and i < 0 and not f.const_omega:
+        with pytest.raises(DomainError):
+            f(i)
+        with pytest.raises(DomainError):
+            stepping_call(f, i)
+        return
+    assert f(i) == stepping_call(f, i)
+
+
+extnats = st.one_of(st.integers(0, 9), st.just(OMEGA))
+
+
+@given(st.lists(extnats, max_size=6), extnats, extnats)
+@settings(max_examples=300)
+def test_closure_matches_stepping_definition(prefix, tail, omega):
+    f = GenFn(prefix=tuple(prefix), tail=tail, omega=omega)
+    assert closure(f) == stepping_closure(f)
+
+
+def test_closure_oracle_edges():
+    cases = [
+        GenFn(prefix=(OMEGA, OMEGA), tail=OMEGA, omega=0),
+        GenFn(prefix=(OMEGA, OMEGA), tail=3),
+        GenFn(prefix=(OMEGA, 4, OMEGA, OMEGA), tail=OMEGA),
+        GenFn(prefix=(2, OMEGA), tail=OMEGA),
+        GenFn(prefix=(OMEGA, 0), tail=OMEGA),
+        GenFn(tail=5),
+    ]
+    expected = [
+        CONST_OMEGA,
+        WaningFn(2, (3, 2, 1)),
+        WaningFn(1, (4, 3, 2, 1)),
+        WaningFn(0, (2, 1)),
+        WaningFn(1),
+        WaningFn(0, (5, 4, 3, 2, 1)),
+    ]
+    for f, want in zip(cases, expected):
+        assert closure(f) == stepping_closure(f) == want
+    with pytest.raises(BoundTooLarge):
+        closure(GenFn(tail=SIZE_LIMIT + 1))
