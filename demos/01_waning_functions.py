@@ -15,6 +15,7 @@ from waning import (
     count_with_first_value_below,
     descending_chain_element,
     enumerate_below,
+    is_omega,
     is_waning,
     join,
     meet,
@@ -25,7 +26,7 @@ from waning import (
 
 # the classic piecewise shape: OMEGA for a while, then a linear descent, then 0
 f = GenFn(prefix=tuple([OMEGA] * 43 + [1337 - x for x in range(43, 69)]))
-print("f(10) =", f(10))
+print("f(10) =", "OMEGA" if is_omega(f(10)) else f(10))
 print("f(50) =", f(50))
 print("f(100) =", f(100))
 print("is_waning(f):", is_waning(f))

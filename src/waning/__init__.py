@@ -42,17 +42,19 @@ from .errors import (
     UnknownSuite,
     WaningError,
 )
-from .extnat import OMEGA, ExtNat, is_omega
 from .functions import (
     CONST_OMEGA,
     CONST_ZERO,
+    ExtNat,
     GenFn,
+    OMEGA,
     SIZE_LIMIT,
     WaningFn,
     closure,
     count_with_first_value_below,
     descending_chain_element,
     enumerate_below,
+    is_omega,
     is_waning,
     join,
     meet,

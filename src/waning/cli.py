@@ -26,8 +26,8 @@ from typing import Optional
 from . import descriptors as de
 from . import serialize as se
 from .errors import DomainError, WaningError
-from .extnat import OMEGA
 from .functions import (
+    OMEGA,
     WaningFn,
     closure,
     descending_chain_element,
@@ -255,26 +255,27 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in flags.items():
             p.add_argument(f"--{flag}", **kwargs)
         p.set_defaults(handler=handler)
-        return p
 
     fn_flag = {"required": True, "help": "function JSON"}
-    cmd("waning-check", _cmd_waning_check, f=dict(fn_flag))
-    cmd("closure", _cmd_closure, f=dict(fn_flag))
-    cmd("eval", _cmd_eval, f=dict(fn_flag), n={"required": True, "help": "index"})
+    cmd("waning-check", _cmd_waning_check, f=fn_flag)
+    cmd("closure", _cmd_closure, f=fn_flag)
+    cmd("eval", _cmd_eval, f=fn_flag, n={"required": True, "help": "index"})
     topo = {"required": True, "help": "topology JSON"}
-    cmd("compare", _cmd_compare, t1=dict(topo), t2=dict(topo))
-    cmd("join", _cmd_join, t1=dict(topo), t2=dict(topo))
+    cmd("compare", _cmd_compare, t1=topo, t2=topo)
+    cmd("join", _cmd_join, t1=topo, t2=topo)
     cmd("chain", _cmd_chain, n={"type": int, "required": True})
-    cmd("below", _cmd_below, f=dict(fn_flag))
+    cmd("below", _cmd_below, f=fn_flag)
     cmd(
         "embed",
         _cmd_embed,
         poset={"required": True, "help": "path to a poset JSON file"},
     )
-    p = sub.add_parser("hasse")
-    p.add_argument("--f", action="append", required=True, help="waning JSON (repeatable)")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_hasse)
+    cmd(
+        "hasse",
+        _cmd_hasse,
+        f={"action": "append", "required": True, "help": "waning JSON (repeatable)"},
+        out={},
+    )
     cmd(
         "member",
         _cmd_member,
@@ -291,21 +292,22 @@ def _build_parser() -> argparse.ArgumentParser:
         bound={"type": int, "default": 4},
         out={},
     )
-    p = sub.add_parser("witness")
-    p.add_argument(
-        "--kind",
-        choices=["order", "basis", "much-wan", "tfprime", "cover"],
-        default="order",
+    cmd(
+        "witness",
+        _cmd_witness,
+        kind={
+            "choices": ["order", "basis", "much-wan", "tfprime", "cover"],
+            "default": "order",
+        },
+        f={"help": "function JSON"},
+        g={"help": "waning JSON"},
+        pb={"help": "partial bijection JSON"},
+        n={"type": int},
+        r={"type": int},
+        X={"default": "[]", "help": "set JSON"},
+        m={"default": "[]", "help": "covered-values JSON"},
+        dommiss={"action": "store_true"},
     )
-    p.add_argument("--f", help="function JSON")
-    p.add_argument("--g", help="waning JSON")
-    p.add_argument("--pb", help="partial bijection JSON")
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--X", default="[]", help="set JSON")
-    p.add_argument("--m", default="[]", help="covered-values JSON")
-    p.add_argument("--dommiss", action="store_true")
-    p.set_defaults(handler=_cmd_witness)
     cmd(
         "verify",
         _cmd_verify,

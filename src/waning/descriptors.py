@@ -28,8 +28,7 @@ from .errors import (
     NotMember,
     PreconditionError,
 )
-from .extnat import is_omega
-from .functions import SIZE_LIMIT, GenFn, WaningFn, closure
+from .functions import SIZE_LIMIT, GenFn, WaningFn, closure, is_omega
 from .pbij import PBij
 
 

@@ -11,20 +11,41 @@ The order ``preceq`` is reversed-pointwise: ``f preceq g`` iff ``f(i) >= g(i)``
 everywhere.  Under it the constant-OMEGA function is the bottom element, the
 constant-0 function the top, pointwise minima are joins and pointwise maxima
 are meets.
+
+Values lie in the extended naturals: a non-negative ``int`` or ``OMEGA``,
+which is ``math.inf``.  A float is safe here because the only arithmetic on
+these values adds or subtracts small counts (``closure`` subtracts 1,
+``much_wan_witness`` subtracts pair counts), which leaves ints exact and
+OMEGA at OMEGA; nothing computes OMEGA - OMEGA or multiplies OMEGA, the
+operations that could give nan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import gt
-from typing import Iterable
+from typing import Iterable, Union
 
 from .errors import BoundTooLarge, DomainError, NotWaning, OmegaEntries
-from .extnat import OMEGA, ExtNat, check_extnat, is_omega
+
+OMEGA = math.inf
+ExtNat = Union[int, float]
 
 # The most elements one call may build: the functions of an enumeration or
 # the pairs of a witness.  Larger requests raise BoundTooLarge.
 SIZE_LIMIT = 1 << 16
+
+
+def is_omega(value: ExtNat) -> bool:
+    return value == OMEGA
+
+
+def _check_extnat(value: ExtNat) -> ExtNat:
+    """``value`` if it is a natural or OMEGA; DomainError otherwise."""
+    if (type(value) is int and value >= 0) or is_omega(value):
+        return value
+    raise DomainError(f"expected a natural or OMEGA, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,9 +61,9 @@ class GenFn:
     omega: ExtNat = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(check_extnat(v) for v in self.prefix))
-        check_extnat(self.tail)
-        check_extnat(self.omega)
+        object.__setattr__(self, "prefix", tuple(map(_check_extnat, self.prefix)))
+        _check_extnat(self.tail)
+        _check_extnat(self.omega)
 
     def __call__(self, i: ExtNat) -> ExtNat:
         if is_omega(i):

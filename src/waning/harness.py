@@ -40,9 +40,9 @@ from typing import Iterable, Optional
 
 from . import descriptors as de
 from .errors import BoundTooLarge, DomainError, InvalidPoset, NoWitness, UnknownSuite
-from .extnat import OMEGA
 from .functions import (
     CONST_OMEGA,
+    OMEGA,
     GenFn,
     WaningFn,
     closure,
@@ -276,9 +276,7 @@ def product_containment_check(
     label = dumps(
         {"f": fn_to_obj(f), "a": pb_to_obj(a), "b": pb_to_obj(b), "p": p, "r": r}
     )
-    left_classes = _classes(
-        left, lambda d: (d.pairs[: bisect_left(d.pairs, (r,))], d.image)
-    )
+    left_classes = _member_classes((wc,), left, bound)
     shown = sorted(
         {y for ds in left_classes for x, y in ds[0].pairs if x < r}
     )
@@ -556,11 +554,12 @@ def _dual_cases(bound: int, seed: int, sample: int) -> list:
 def _dual_eval(bound: int, case) -> list[tuple[str, PBij]]:
     d = case
     label = dumps(descriptor_to_obj(d))
+    dual, double = de.Dual(d), de.Dual(de.Dual(d))
     found = []
     for h in enumerate_universe(bound):
-        if de.member(de.Dual(d), h) != de.member(d, h.inverse()):
+        if de.member(dual, h) != de.member(d, h.inverse()):
             found.append((label, h))
-        if de.member(de.Dual(de.Dual(d)), h) != de.member(d, h):
+        if de.member(double, h) != de.member(d, h):
             found.append((label + "#involution", h))
     return found
 
@@ -572,7 +571,8 @@ def _dmap_cases(bound: int, seed: int, sample: int) -> list:
 def _dmap_eval(bound: int, case) -> list[tuple[str, PBij]]:
     n = case
     g = PBij.identity(n)
-    ups = [h for h in enumerate_universe(bound) if h.extends(g)]
+    # the candidates of FixBelow(id_n, n) are exactly the elements extending g
+    ups = _candidates(de.FixBelow(g, n), bound)
     label = dumps({"idempotent": pb_to_obj(g)})
     # h * k extends the idempotent g whenever h and k do, so every product
     # is in ``ups`` and its image is a lookup

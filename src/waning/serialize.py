@@ -29,8 +29,7 @@ from .descriptors import (
     WNbhd,
 )
 from .errors import DomainError
-from .extnat import OMEGA, ExtNat, is_omega
-from .functions import GenFn, WaningFn
+from .functions import OMEGA, ExtNat, GenFn, WaningFn, is_omega
 from .pbij import PBij
 
 
@@ -214,4 +213,4 @@ def poset_from_obj(obj: Any):
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, separators=(",", ":"), sort_keys=False)
+    return json.dumps(obj, separators=(",", ":"), sort_keys=False, allow_nan=False)

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -285,6 +287,29 @@ def test_canonical_equality_is_pointwise():
 def test_non_integer_entries_rejected_not_truncated(kwargs):
     with pytest.raises(DomainError, match="not plain ints"):
         WaningFn(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"prefix": (2.5,)},
+        {"tail": -1},
+        {"omega": True},
+        {"prefix": ("omega",)},
+    ],
+)
+def test_genfn_rejects_values_outside_the_extended_naturals(kwargs):
+    with pytest.raises(DomainError, match="natural or OMEGA"):
+        GenFn(**kwargs)
+
+
+@given(st.integers(0, 10**6))
+def test_extnat_algebra(n):
+    assert n < OMEGA and not OMEGA <= n
+    assert OMEGA + n == OMEGA and OMEGA - n == OMEGA
+    assert min(n, OMEGA) == n and max(n, OMEGA) == OMEGA
+    assert is_omega(OMEGA) and not is_omega(n)
+    assert pickle.loads(pickle.dumps(OMEGA)) == OMEGA
 
 
 def test_from_values_rejects_bad_shapes():

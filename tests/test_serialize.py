@@ -154,3 +154,9 @@ def test_non_integers_rejected_not_truncated(parse, obj):
 def test_unknown_keys_rejected(parse, obj):
     with pytest.raises(DomainError, match="unknown keys"):
         parse(obj)
+
+
+def test_raw_omega_is_not_encoded():
+    with pytest.raises(ValueError):
+        dumps([OMEGA])
+    assert dumps([value_to_obj(OMEGA)]) == '["omega"]'
