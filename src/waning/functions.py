@@ -66,8 +66,10 @@ class GenFn:
         _check_extnat(self.omega)
 
     def __call__(self, i: ExtNat) -> ExtNat:
-        if is_omega(i):
-            return self.omega
+        if type(i) is not int:
+            if is_omega(i):
+                return self.omega
+            raise DomainError(f"index {i!r} is not a natural or OMEGA")
         if i < 0:
             raise DomainError(f"negative index {i}")
         if i < len(self.prefix):
@@ -131,10 +133,12 @@ class WaningFn:
         return cls(omega_prefix=k, drops=tuple(drops))
 
     def __call__(self, i: ExtNat) -> ExtNat:
+        if type(i) is not int:
+            if is_omega(i):
+                return OMEGA if self.const_omega else 0
+            raise DomainError(f"index {i!r} is not a natural or OMEGA")
         if self.const_omega:
             return OMEGA
-        if is_omega(i):
-            return 0
         j = i - self.omega_prefix
         if j < 0:
             if i < 0:

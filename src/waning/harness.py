@@ -7,21 +7,24 @@ report counterexamples in a canonical order, so reports are deterministic
 for a fixed (bound, seed, sample) regardless of worker count; only the
 elapsed-time field varies between runs.
 
-Checks scan only candidate elements.  Members of a W or FixBelow set agree
-with g below r, so they lie in one prefix run of the lexicographically
-sorted universe, found by bisection; other kinds scan the whole universe.
-Membership in a descriptor reads only an element's image and its pairs
-with source below the descriptor's reach, so subset and equality checks and
-the continuity check's factor filters group the scanned elements by those
-and test one element per class with ``descriptors.member``; a subset or
-equality check tests every element of a failing class again.  The
-continuity check groups left factors by their pairs with source below r and
-their image, and right factors by their values on the left classes' low
-targets and the sources they send below r outside im(a * b); it tests one
-product per class pair, and forms and tests every product of a class pair
-only when that product fails, reporting a failing one once per factor pair.
-The d-map check collapses each element once and looks up the image of each
-product.
+Subset and equality checks do not scan the universe.  Each starts from a
+scope (P, r), the elements whose pairs with source below r are exactly P:
+members of a W or FixBelow set agree with g below r, an intersection takes a
+part's scope, and other kinds give the whole universe.  Membership in a
+descriptor reads only an element's image and its pairs with source below the
+descriptor's reach, so a check generates the classes of its scope under
+(pairs below R, image), R covering both reaches, and tests one
+representative per class; it lists and tests every element of a class only
+when the representative fails.  The continuity check's factor filters and
+the d-map check read the sorted universe's prefix runs instead: they use
+every element they keep, and universe elements keep the lookups that a
+generated element would build again.  The continuity check groups left
+factors by their pairs with source below r and their image, and right
+factors by their values on the left classes' low targets and the sources
+they send below r outside im(a * b); it tests one product per class pair,
+and forms and tests every product of a class pair only when that product
+fails, reporting a failing one once per factor pair.  The d-map check
+collapses each element once and looks up the image of each product.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter, ne
+from operator import attrgetter, itemgetter, ne
 from typing import Iterable, Optional
 
 from . import descriptors as de
@@ -66,13 +69,17 @@ def universe_size(bound: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
-def enumerate_universe(bound: int) -> tuple[PBij, ...]:
-    """All partial bijections inside range(bound), in lexicographic order."""
+def _check_bound(bound: int) -> None:
     if bound < 0:
         raise DomainError(f"negative bound {bound}")
     if bound > MAX_BOUND:
         raise BoundTooLarge(f"bound {bound} exceeds the maximum {MAX_BOUND}")
+
+
+@lru_cache(maxsize=None)
+def enumerate_universe(bound: int) -> tuple[PBij, ...]:
+    """All partial bijections inside range(bound), in lexicographic order."""
+    _check_bound(bound)
     elements = []
     points = range(bound)
     for k in range(bound + 1):
@@ -83,25 +90,77 @@ def enumerate_universe(bound: int) -> tuple[PBij, ...]:
     return tuple(elements)
 
 
-def _candidates(d: de.SetDescriptor, bound: int) -> tuple[PBij, ...]:
-    """A superset of the members of ``d`` in the universe, in universe order.
+def _scope(d: de.SetDescriptor) -> tuple[tuple[tuple[int, int], ...], int]:
+    """A scope (P, r) holding the members of ``d``: the elements whose pairs
+    with source below r are exactly P.
 
-    Members of a W or FixBelow set agree with g below r.  In the sorted
-    universe they are the element whose pairs are exactly g's pairs below r,
-    then the run of elements that start with those pairs and continue with a
-    source of at least r.  Other kinds give the whole universe.
+    Members of a W or FixBelow set agree with g below r, so P is g's pairs
+    below r.  Members of an intersection lie in every part's scope; the one
+    with the largest r is taken, as two scopes are nested or disjoint (see
+    ``_mismatches``) and the larger r is the inner one when nested.  Other
+    kinds give ((), 0), the whole universe.
+    """
+    if isinstance(d, (de.WNbhd, de.FixBelow)):
+        return d.g.pairs[: bisect_left(d.g.pairs, (d.r,))], d.r
+    if isinstance(d, de.Intersection):
+        return max(map(_scope, d.parts), key=itemgetter(1), default=((), 0))
+    return (), 0
+
+
+def _candidates(d: de.SetDescriptor, bound: int) -> tuple[PBij, ...]:
+    """The universe elements in the scope of ``d``, in universe order.
+
+    In the sorted universe the scope (P, r) is the element whose pairs are
+    exactly P, then the run of elements that start with P and continue with
+    a source of at least r.
     """
     us = enumerate_universe(bound)
-    if isinstance(d, de.Intersection):
-        return min((_candidates(p, bound) for p in d.parts), key=len, default=us)
-    if not isinstance(d, (de.WNbhd, de.FixBelow)):
-        return us
-    below = d.g.pairs[: bisect_left(d.g.pairs, (d.r,))]
+    below, r = _scope(d)
     at = bisect_left(us, below, key=_PAIRS)
     exact = us[at : at + 1] if at < len(us) and us[at].pairs == below else ()
-    start = bisect_left(us, below + ((d.r,),), key=_PAIRS)
+    start = bisect_left(us, below + ((r,),), key=_PAIRS)
     stop = bisect_left(us, below + ((bound,),), key=_PAIRS)
     return exact + us[start:stop]
+
+
+def _scope_classes(
+    below: tuple[tuple[int, int], ...], r: int, reach: int, bound: int
+):
+    """The scope (below, r) of the universe, split into classes by (pairs
+    with source below R, image), R = max(r, reach) clamped to ``bound``.
+
+    Each class is an iterator over its elements' sorted pairs, and its first
+    element is the class representative.  The scope is empty when ``below``
+    has a point at or past the bound.  Otherwise a class is fixed by
+    - Q, a partial injection from sources in [r, R) to targets outside
+      im(below), so that below + Q are the pairs below R, and
+    - S, a set of the remaining targets with |S| <= bound - R, the image
+      of the pairs with source at least R.
+    Its elements send a |S|-subset of [R, bound) onto S in every way; the
+    representative sends R, R + 1, ... to S in increasing order.  Every
+    element of the scope falls in exactly one class, the one of its own
+    pairs below R and image.
+    """
+    if any(x >= bound or y >= bound for x, y in below):
+        return
+    top = min(max(r, reach), bound)
+    used = {y for _, y in below}
+    free = [y for y in range(bound) if y not in used]
+    low, tail = range(r, top), range(top, bound)
+    for k in range(len(low) + 1):
+        for xs in itertools.combinations(low, k):
+            for ys in itertools.permutations(free, k):
+                head = below + tuple(zip(xs, ys))
+                rest = [y for y in free if y not in ys]
+                for size in range(min(len(tail), len(rest)) + 1):
+                    for targets in itertools.combinations(rest, size):
+                        yield _class_elements(head, targets, tail)
+
+
+def _class_elements(head, targets, tail):
+    for xs in itertools.combinations(tail, len(targets)):
+        for ys in itertools.permutations(targets):
+            yield head + tuple(zip(xs, ys))
 
 
 @dataclass(frozen=True)
@@ -186,30 +245,47 @@ def _members(d: de.SetDescriptor, bound: int) -> list[PBij]:
     return [h for hs in classes if de.member(d, hs[0]) for h in hs]
 
 
-def _failing(d1, d2, scan, bound: int, fails) -> list[PBij]:
-    """The elements h of ``scan`` with ``fails(h in d1, h in d2)``, in
-    universe order.  One element per member class is tested, and every
-    element of a class whose tested element fails."""
+def _failing(d1, d2, scopes, bound: int, fails) -> list[PBij]:
+    """The elements h of the ``scopes`` with ``fails(h in d1, h in d2)``, in
+    universe order.  The scopes are disjoint.  Each is split into classes by
+    (pairs below R, image), R covering both reaches, and only a class's
+    representative is tested; the elements of a class are listed, and each
+    tested, only when its representative fails."""
 
     def failed(h: PBij) -> bool:
         return fails(de.member(d1, h), de.member(d2, h))
 
-    classes = _member_classes((d1, d2), scan, bound)
-    found = (h for hs in classes if failed(hs[0]) for h in hs if failed(h))
+    _check_bound(bound)
+    reach = max(_reach(d1, bound), _reach(d2, bound))
+    found = []
+    for below, r in scopes:
+        for elements in _scope_classes(below, r, reach, bound):
+            rep = PBij._from_sorted(next(elements))
+            if failed(rep):
+                hs = itertools.chain((rep,), map(PBij._from_sorted, elements))
+                found += [h for h in hs if failed(h)]
     return sorted(found, key=_PAIRS)
 
 
 def _escapes(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[PBij]:
     """Universe elements in the first set but not the second."""
-    return _failing(d1, d2, _candidates(d1, bound), bound, lambda a, b: a and not b)
+    return _failing(d1, d2, [_scope(d1)], bound, lambda a, b: a and not b)
 
 
 def _mismatches(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[PBij]:
-    """Universe elements in exactly one of the two sets."""
-    scan, other = _candidates(d1, bound), _candidates(d2, bound)
-    if other != scan:
-        scan = sorted(set(scan).union(other), key=_PAIRS)
-    return _failing(d1, d2, scan, bound, ne)
+    """Universe elements in exactly one of the two sets.
+
+    Their scopes (P1, r1) and (P2, r2), r1 <= r2, are nested or disjoint.
+    An element of both has P1 as its pairs below r1 and P2 as its pairs
+    below r2, so P2's pairs below r1 are P1.  And when they are, an element
+    whose pairs below r2 are P2 has P1 as its pairs below r1, so the second
+    scope lies inside the first.  So the first alone is scanned when P2's
+    pairs below r1 are P1, and otherwise both, which share no element.
+    """
+    wide, narrow = sorted((_scope(d1), _scope(d2)), key=itemgetter(1))
+    (p1, r1), (p2, _) = wide, narrow
+    nested = p2[: bisect_left(p2, (r1,))] == p1
+    return _failing(d1, d2, [wide] if nested else [wide, narrow], bound, ne)
 
 
 def subset_check(

@@ -78,6 +78,19 @@ def test_criterion_03_neighbourhood_basis():
     )
 
 
+def test_criterion_03c_neighbourhood_basis_bound7():
+    _suite_criterion(
+        "03c",
+        "neighbourhood basis at bound 7",
+        3.0,
+        "basis",
+        bound=7,
+        seed=1,
+        sample=200,
+        jobs=1,
+    )
+
+
 def test_criterion_04_closure_neighbourhoods():
     _suite_criterion(
         "04",
@@ -97,6 +110,19 @@ def test_criterion_04b_closure_neighbourhoods_bound6():
         10.0,
         "much-wan",
         bound=6,
+        seed=1,
+        sample=100,
+        jobs=1,
+    )
+
+
+def test_criterion_04c_closure_neighbourhoods_bound7():
+    _suite_criterion(
+        "04c",
+        "closure neighbourhood equality and refinement at bound 7",
+        3.0,
+        "much-wan",
+        bound=7,
         seed=1,
         sample=100,
         jobs=1,

@@ -363,6 +363,15 @@ def test_call_matches_stepping_definition(f, i):
     assert f(i) == stepping_call(f, i)
 
 
+@pytest.mark.parametrize(
+    "f", [WaningFn(drops=(3, 2)), CONST_OMEGA, GenFn(prefix=(3,)), GenFn(tail=OMEGA)]
+)
+@pytest.mark.parametrize("i", [0.5, 1.5, 2.0, True, "1", None])
+def test_call_refuses_an_index_that_is_not_a_natural_or_omega(f, i):
+    with pytest.raises(DomainError, match="natural or OMEGA"):
+        f(i)
+
+
 extnats = st.one_of(st.integers(0, 9), st.just(OMEGA))
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +137,64 @@ def test_class_scans_match_a_naive_scan(d1, d2, bound):
     assert harness._mismatches(d1, d2, bound) == [
         h for h in us if member(d1, h) != member(d2, h)
     ]
+
+
+def _below(pairs, r):
+    return pairs[: bisect_left(pairs, (r,))]
+
+
+@given(st.integers(0, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_scope_classes_partition_the_scope(bound, data):
+    r = data.draw(st.integers(0, bound + 1), label="r")
+    reach = data.draw(st.integers(r, bound + 2), label="R")
+    # drawn from I_{B+1}, so the prefix may hold a point at or past the bound
+    g = data.draw(st.sampled_from(enumerate_universe(bound + 1)), label="g")
+    below = _below(g.pairs, r)
+    classes = [list(c) for c in harness._scope_classes(below, r, reach, bound)]
+    got = [pairs for c in classes for pairs in c]
+    assert len(got) == len(set(got))
+    assert set(got) == {
+        h.pairs for h in enumerate_universe(bound) if _below(h.pairs, r) == below
+    }
+
+    def key(pairs):
+        return _below(pairs, reach), frozenset(y for _, y in pairs)
+
+    keys = []
+    for c in classes:
+        assert {key(pairs) for pairs in c} == {key(c[0])}
+        keys.append(key(c[0]))
+        # the representative sends R, R + 1, ... onto its targets past R in order
+        head = _below(c[0], reach)
+        past = c[0][len(head) :]
+        assert past == tuple(zip(range(reach, reach + len(past)), sorted(y for _, y in past)))
+    # one class per key: the classes are whole key classes
+    assert len(set(keys)) == len(keys)
+
+
+@given(st.data(), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_mismatches_cover_nested_and_disjoint_scopes(data, bound):
+    small = st.sampled_from(enumerate_universe(3))
+    g1 = data.draw(small, label="g1")
+    # the same g gives nested scopes; another one mostly disjoint ones
+    g2 = data.draw(st.sampled_from([g1, data.draw(small, label="other")]), label="g2")
+    d1, d2 = (FixBelow(g, data.draw(st.integers(0, 4), label="r")) for g in (g1, g2))
+    assert harness._mismatches(d1, d2, bound) == [
+        h for h in enumerate_universe(bound) if member(d1, h) != member(d2, h)
+    ]
+
+
+@pytest.mark.parametrize("check", [subset_check, equality_check])
+@pytest.mark.parametrize(
+    "d", [DomMiss(0), WNbhd(CONST_ZERO, PBij([(0, 0)]), 1), FixBelow(PBij([(9, 9)]), 10)]
+)
+def test_scans_refuse_bounds_outside_the_universe(check, d):
+    with pytest.raises(DomainError):
+        check(d, d, -1)
+    with pytest.raises(BoundTooLarge):
+        check(d, d, harness.MAX_BOUND + 1)
 
 
 @given(descriptors())
