@@ -70,14 +70,16 @@ class UBasic:
 @dataclass(frozen=True)
 class WNbhd:
     """Principal neighbourhood of g: agree with g below r and hit at most
-    f(|g|) image points in range(r) outside im(g).  Raises InvalidDescriptor
-    unless r is valid: f(r) <= f(|g|) = f(|g restricted below r|)."""
+    f(|g|) image points in range(r) outside im(g).  Raises DomainError unless
+    r is a natural and InvalidDescriptor unless r is valid:
+    f(r) <= f(|g|) = f(|g restricted below r|)."""
 
     f: WaningFn
     g: PBij
     r: int
 
     def __post_init__(self):
+        _check_radius(self.r)
         if not _wnbhd_valid(self.f, self.g, self.r):
             raise InvalidDescriptor(
                 f"radius {self.r} is not valid for this neighbourhood"
@@ -125,10 +127,19 @@ class FixBelow:
     g: PBij
     r: int
 
+    def __post_init__(self):
+        _check_radius(self.r)
+
 
 SetDescriptor = Union[
     PointHit, DomMiss, ImMiss, UBasic, WNbhd, Wany, Dual, Intersection, FixBelow
 ]
+
+
+def _check_radius(r: int) -> None:
+    """DomainError unless the radius of a W or FixBelow set is a natural."""
+    if type(r) is not int or r < 0:
+        raise DomainError(f"radius {r!r} is not a natural")
 
 
 def _wnbhd_valid(f: WaningFn, g: PBij, r: int) -> bool:

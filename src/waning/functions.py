@@ -66,15 +66,10 @@ class GenFn:
         _check_extnat(self.omega)
 
     def __call__(self, i: ExtNat) -> ExtNat:
-        if type(i) is not int:
-            if is_omega(i):
-                return self.omega
-            raise DomainError(f"index {i!r} is not a natural or OMEGA")
-        if i < 0:
-            raise DomainError(f"negative index {i}")
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.tail
+        if type(i) is int and i >= 0:
+            return self.prefix[i] if i < len(self.prefix) else self.tail
+        _check_extnat(i)
+        return self.omega
 
 
 @dataclass(frozen=True)
@@ -111,40 +106,24 @@ class WaningFn:
     def from_values(cls, values: Iterable[ExtNat]) -> "WaningFn":
         """Canonical form from leading values (0 from there on).
 
-        Raises NotWaning when the values do not describe a waning function.
+        Raises DomainError for a value that is not a natural or OMEGA and
+        NotWaning when the values do not describe a waning function.
         """
-        values = list(values)
-        k = 0
-        while k < len(values) and is_omega(values[k]):
-            k += 1
-        drops: list[int] = []
-        seen_zero = False
-        for v in values[k:]:
-            if is_omega(v):
-                raise NotWaning(values)
-            if v == 0:
-                seen_zero = True
-            elif seen_zero:
-                raise NotWaning(values)
-            else:
-                drops.append(v)
-        if any(b >= a for a, b in zip(drops, drops[1:])):
-            raise NotWaning(values)
-        return cls(omega_prefix=k, drops=tuple(drops))
+        f = GenFn(prefix=tuple(values))
+        if not is_waning(f):
+            raise NotWaning(f.prefix)
+        return closure(f)
 
     def __call__(self, i: ExtNat) -> ExtNat:
-        if type(i) is not int:
-            if is_omega(i):
-                return OMEGA if self.const_omega else 0
-            raise DomainError(f"index {i!r} is not a natural or OMEGA")
-        if self.const_omega:
-            return OMEGA
-        j = i - self.omega_prefix
-        if j < 0:
-            if i < 0:
-                raise DomainError(f"negative index {i}")
-            return OMEGA
-        return self.drops[j] if j < len(self.drops) else 0
+        if type(i) is int and i >= 0:
+            if self.const_omega:
+                return OMEGA
+            j = i - self.omega_prefix
+            if j < 0:
+                return OMEGA
+            return self.drops[j] if j < len(self.drops) else 0
+        _check_extnat(i)
+        return OMEGA if self.const_omega else 0
 
     @property
     def support_end(self) -> int:

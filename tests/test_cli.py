@@ -161,6 +161,14 @@ def test_domain_error_exit(capsys):
     assert code == 1 and "error" in err
 
 
+def test_eval_index_refusals(capsys):
+    for fn in ('{"omega_prefix":0,"drops":[2]}', '{"const":"omega"}'):
+        code, out, err = run(capsys, "eval", "--f", fn, "--n", "-1")
+        assert code == 1 and out == "" and err.startswith("error:")
+    code, _, err = run(capsys, "eval", "--f", ONE_DROP, "--n", "x")
+    assert code == 2 and err.startswith("usage error:")
+
+
 FAR = "[[100000000,0]]"
 ONE_DROP = '{"omega_prefix":0,"drops":[1]}'
 

@@ -106,6 +106,17 @@ def test_invalid_descriptors_rejected_at_construction():
         Wany(0, [])
 
 
+def test_radius_not_a_natural_refused_at_construction():
+    # a negative radius would give subset scans sources below 0
+    for r in (-1, 1.5, True, OMEGA):
+        with pytest.raises(DomainError, match="not a natural"):
+            FixBelow(EMPTY, r)
+        with pytest.raises(DomainError, match="not a natural"):
+            WNbhd(CONST_ZERO, EMPTY, r)
+    with pytest.raises(DomainError):
+        WNbhd(CONST_OMEGA, EMPTY, -2)
+
+
 small_pbijs = pbijs(max_point=4, max_size=3)
 
 

@@ -1,7 +1,8 @@
 import pickle
+from itertools import dropwhile
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hypothesis import settings
@@ -324,12 +325,12 @@ def test_from_values_rejects_bad_shapes():
 def stepping_call(f, i):
     """Oracle: evaluate a canonical form by testing the OMEGA run, then
     stepping into the drops."""
+    if i < 0:
+        raise DomainError(f"negative index {i}")
     if f.const_omega:
         return OMEGA
     if is_omega(i):
         return 0
-    if i < 0:
-        raise DomainError(f"negative index {i}")
     if i < f.omega_prefix:
         return OMEGA
     j = i - f.omega_prefix
@@ -353,8 +354,9 @@ def stepping_closure(f):
 
 
 @given(waning_fns(), st.one_of(st.integers(-3, 16), st.just(OMEGA)))
+@example(CONST_OMEGA, -1)
 def test_call_matches_stepping_definition(f, i):
-    if not is_omega(i) and i < 0 and not f.const_omega:
+    if i < 0:
         with pytest.raises(DomainError):
             f(i)
         with pytest.raises(DomainError):
@@ -373,6 +375,41 @@ def test_call_refuses_an_index_that_is_not_a_natural_or_omega(f, i):
 
 
 extnats = st.one_of(st.integers(0, 9), st.just(OMEGA))
+
+
+def _omega_run_then_drops_then_zeros(values):
+    """Oracle: an OMEGA run, then a strictly decreasing positive run, then
+    zeros, split at the first non-OMEGA and after the last nonzero value."""
+    head = len(values) - len(list(dropwhile(is_omega, values)))
+    zeros = len(values) - len(list(dropwhile(lambda v: v == 0, values[::-1])))
+    drops = values[head : len(values) - zeros]
+    return all(0 < v < OMEGA for v in drops) and all(
+        a > b for a, b in zip(drops, drops[1:])
+    )
+
+
+@given(st.lists(extnats, max_size=7))
+@settings(max_examples=300)
+def test_from_values_agrees_with_its_values(values):
+    if not _omega_run_then_drops_then_zeros(values):
+        with pytest.raises(NotWaning):
+            WaningFn.from_values(values)
+        return
+    f = WaningFn.from_values(values)
+    assert [f(i) for i in range(len(values) + 2)] == values + [0, 0]
+    assert f(OMEGA) == 0
+
+
+@given(
+    st.lists(extnats, max_size=5),
+    st.integers(0, 5),
+    st.sampled_from([-1, 2.5, True, None, "omega"]),
+)
+@example([1], 1, "omega")
+def test_from_values_refuses_a_non_natural_entry(values, at, bad):
+    values.insert(at, bad)
+    with pytest.raises(DomainError, match="natural or OMEGA"):
+        WaningFn.from_values(values)
 
 
 @given(st.lists(extnats, max_size=6), extnats, extnats)

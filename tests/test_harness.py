@@ -137,6 +137,11 @@ def test_class_scans_match_a_naive_scan(d1, d2, bound):
     assert harness._mismatches(d1, d2, bound) == [
         h for h in us if member(d1, h) != member(d2, h)
     ]
+    both_ways = subset_check(d1, d2, bound).counterexamples
+    both_ways += subset_check(d2, d1, bound).counterexamples
+    assert equality_check(d1, d2, bound).counterexamples == (
+        harness._sorted_counterexamples(both_ways)
+    )
 
 
 def _below(pairs, r):
