@@ -21,6 +21,7 @@ from .descriptors import (
     basis_refinement,
     continuity_p,
     cover_witness,
+    cross_family_witness,
     member,
     much_wan_witness,
     order_counterexample,

@@ -39,6 +39,9 @@ class PointHit:
     x: int
     y: int
 
+    def __post_init__(self):
+        _check_nat(self.x, self.y)
+
 
 @dataclass(frozen=True)
 class DomMiss:
@@ -46,12 +49,18 @@ class DomMiss:
 
     x: int
 
+    def __post_init__(self):
+        _check_nat(self.x)
+
 
 @dataclass(frozen=True)
 class ImMiss:
     """Elements whose image avoids the point x."""
 
     x: int
+
+    def __post_init__(self):
+        _check_nat(self.x)
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,7 @@ class UBasic:
 
     def __post_init__(self):
         object.__setattr__(self, "avoid", frozenset(self.avoid))
+        _check_nat(self.n, *self.avoid)
 
 
 @dataclass(frozen=True)
@@ -79,7 +89,7 @@ class WNbhd:
     r: int
 
     def __post_init__(self):
-        _check_radius(self.r)
+        _check_nat(self.r)
         if not _wnbhd_valid(self.f, self.g, self.r):
             raise InvalidDescriptor(
                 f"radius {self.r} is not valid for this neighbourhood"
@@ -100,6 +110,7 @@ class Wany:
         sets = {frozenset(ys) for ys in families}
         if not sets:
             raise InvalidDescriptor("empty family of avoided sets")
+        _check_nat(n, *(y for ys in sets for y in ys))
         object.__setattr__(
             self, "families", tuple(sorted(sets, key=lambda ys: sorted(ys)))
         )
@@ -128,7 +139,7 @@ class FixBelow:
     r: int
 
     def __post_init__(self):
-        _check_radius(self.r)
+        _check_nat(self.r)
 
 
 SetDescriptor = Union[
@@ -136,10 +147,12 @@ SetDescriptor = Union[
 ]
 
 
-def _check_radius(r: int) -> None:
-    """DomainError unless the radius of a W or FixBelow set is a natural."""
-    if type(r) is not int or r < 0:
-        raise DomainError(f"radius {r!r} is not a natural")
+def _check_nat(*values: int) -> None:
+    """DomainError unless every value is a natural: a point, size or radius
+    of a descriptor.  Floats and bools are refused, not truncated."""
+    for v in values:
+        if type(v) is not int or v < 0:
+            raise DomainError(f"{v!r} is not a natural")
 
 
 def _wnbhd_valid(f: WaningFn, g: PBij, r: int) -> bool:
@@ -281,11 +294,13 @@ def tfprime_refinement(
 
 
 def continuity_p(f: WaningFn, a: PBij, b: PBij, r: int) -> int:
-    """Smallest joint radius making products land inside the target neighbourhood.
+    """A joint radius meant to make products land inside the target neighbourhood.
 
     The radius p >= 1 is valid for both factors and clears the images of
-    {0..r} under a and under the inverse of b, so that the product of the
-    two principal p-neighbourhoods lies in the r-neighbourhood of a*b.
+    {0..r} under a and under the inverse of b.  It is not always the least
+    one, nor always sufficient: when p < r a right factor may hit targets in
+    [p, r) outside im(b) for free, and ``continuity`` fails at bound 4 on
+    some seeds (see "Make continuity sound" in ROADMAP.md).
     """
     c = a * b
     if not _wnbhd_valid(f, c, r):
@@ -321,11 +336,26 @@ def order_counterexample(
         raise BoundTooLarge(f"the witness has {b} pairs, above {SIZE_LIMIT}")
     if r <= b:
         raise PreconditionError(f"radius {r} must exceed the separation bound {b}")
-    if type(r) is not int:
-        raise DomainError(f"radius {r!r} is not a natural")
+    _check_nat(r)
     # sources 0..n-1 then from r > b > n on, targets 0..b-1: sorted and injective
     extra = tuple((r + i, n + i) for i in range(b - n))
     return n, b, PBij._from_sorted(PBij.identity(n).pairs + extra)
+
+
+def cross_family_witness(x: int, r: int) -> PBij:
+    """The element {(x, r)}: for every waning f off the top it lies in
+    Dual(W(f, EMPTY, r)) but not in DomMiss(x), and its inverse lies in
+    W(f, EMPTY, r) but not in ImMiss(x).  These W sets form a base at EMPTY,
+    and DomMiss(x) is open in every direct topology and ImMiss(x) in every
+    dual one, so off the top neither family's topology contains the other's.
+
+    Proof: every radius is valid for EMPTY, as f(r) <= f(0) = f(|EMPTY|).
+    {(r, x)} has no source below r, and its one pair is a mistake exactly
+    when x < r, which f(0) >= 1 off the top allows; at the top those cases
+    fail.  And x lies in the domain of {(x, r)} and the image of {(r, x)}.
+    """
+    _check_nat(x, r)
+    return PBij._from_sorted(((x, r),))
 
 
 def cover_witness(
@@ -349,8 +379,7 @@ def cover_witness(
         raise BadBase("base is not a partial bijection from n avoiding the set")
     if not includes_dommiss and not covered:
         return h0
-    if type(n) is not int or n < 0:
-        raise DomainError(f"{n!r} is not a natural")
+    _check_nat(n)
     banned = avoid | h0.image | covered
     v = 0
     while v in banned:

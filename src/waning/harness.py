@@ -45,6 +45,7 @@ from . import descriptors as de
 from .errors import BoundTooLarge, DomainError, InvalidPoset, NoWitness, UnknownSuite
 from .functions import (
     CONST_OMEGA,
+    CONST_ZERO,
     OMEGA,
     GenFn,
     WaningFn,
@@ -56,7 +57,7 @@ from .functions import (
 )
 from .pbij import EMPTY, PBij, collapse, product_pairs
 from .serialize import descriptor_to_obj, dumps, fn_to_obj, pb_to_obj
-from .topology import FinitePoset, embed_poset
+from .topology import Comparison, FinitePoset, PolishTopology, compare, embed_poset
 
 MAX_BOUND = 7
 _PAIRS = attrgetter("pairs")
@@ -90,21 +91,32 @@ def enumerate_universe(bound: int) -> tuple[PBij, ...]:
     return tuple(elements)
 
 
-def _scope(d: de.SetDescriptor) -> tuple[tuple[tuple[int, int], ...], int]:
-    """A scope (P, r) holding the members of ``d``: the elements whose pairs
-    with source below r are exactly P.
+def _reach(d: de.SetDescriptor, bound: int) -> tuple[tuple, int, int]:
+    """(P, r, R): the members of ``d`` lie in the scope (P, r), the elements
+    whose pairs with source below r are exactly P, and ``member(d, h)``
+    reads only im(h) and h's pairs with source below R.
 
-    Members of a W or FixBelow set agree with g below r, so P is g's pairs
-    below r.  Members of an intersection lie in every part's scope; the one
-    with the largest r is taken, as two scopes are nested or disjoint (see
-    ``_mismatches``) and the larger r is the inner one when nested.  Other
-    kinds give ((), 0), the whole universe.
+    A W or FixBelow set holds elements agreeing with g below r, and reads
+    those pairs and the image.  An intersection reads what its parts read,
+    and takes the part scope with the largest r: two scopes are nested or
+    disjoint (see ``_mismatches``), the larger r the inner one when nested.
+    Other kinds take the whole universe, ((), 0): a U or ImMiss set reads
+    the image, a point or domain test at x reads h(x), a Wany set whether a
+    source lies below n and the image, and a dual ``bound``, all of h.
     """
     if isinstance(d, (de.WNbhd, de.FixBelow)):
-        return d.g.pairs[: bisect_left(d.g.pairs, (d.r,))], d.r
+        return d.g.pairs[: bisect_left(d.g.pairs, (d.r,))], d.r, d.r
     if isinstance(d, de.Intersection):
-        return max(map(_scope, d.parts), key=itemgetter(1), default=((), 0))
-    return (), 0
+        parts = [_reach(part, bound) for part in d.parts]
+        below, r, _ = max(parts, key=itemgetter(1), default=((), 0, 0))
+        return below, r, max((reach for _, _, reach in parts), default=0)
+    if isinstance(d, (de.UBasic, de.ImMiss)):
+        return (), 0, 0
+    if isinstance(d, (de.PointHit, de.DomMiss)):
+        return (), 0, d.x + 1
+    if isinstance(d, de.Wany):
+        return (), 0, d.n
+    return (), 0, bound
 
 
 def _candidates(d: de.SetDescriptor, bound: int) -> tuple[PBij, ...]:
@@ -115,7 +127,7 @@ def _candidates(d: de.SetDescriptor, bound: int) -> tuple[PBij, ...]:
     a source of at least r.
     """
     us = enumerate_universe(bound)
-    below, r = _scope(d)
+    below, r, _ = _reach(d, bound)
     at = bisect_left(us, below, key=_PAIRS)
     exact = us[at : at + 1] if at < len(us) and us[at].pairs == below else ()
     start = bisect_left(us, below + ((r,),), key=_PAIRS)
@@ -208,32 +220,12 @@ def _report(name: str, cases: int, found, started: float) -> CheckReport:
     )
 
 
-def _reach(d: de.SetDescriptor, bound: int) -> int:
-    """A radius R such that ``member(d, h)`` reads only im(h) and h's pairs
-    with source below R: a U or ImMiss set reads the image alone, a point or
-    domain test at x reads h(x), a W or FixBelow set the pairs below r and
-    the image, a Wany set whether a source lies below n and the image, and
-    an intersection what its parts read.  Other kinds read ``bound``, which
-    in the universe is all of h."""
-    if isinstance(d, (de.UBasic, de.ImMiss)):
-        return 0
-    if isinstance(d, (de.PointHit, de.DomMiss)):
-        return d.x + 1
-    if isinstance(d, (de.WNbhd, de.FixBelow)):
-        return d.r
-    if isinstance(d, de.Wany):
-        return d.n
-    if isinstance(d, de.Intersection):
-        return max((_reach(part, bound) for part in d.parts), default=0)
-    return bound
-
-
 def _member_classes(ds, scan: Iterable[PBij], bound: int) -> list[list[PBij]]:
     """``scan`` grouped by (pairs with source below R, image), R the largest
     reach of ``ds``.  Membership in each d of ``ds`` is constant on a class:
-    it reads the image and the pairs below ``_reach(d)`` <= R, which the
+    it reads the image and the pairs below its own reach <= R, which the
     pairs below R fix."""
-    reach = max(_reach(d, bound) for d in ds)
+    reach = max(_reach(d, bound)[2] for d in ds)
     return _classes(
         scan, lambda h: (h.pairs[: bisect_left(h.pairs, (reach,))], h.image)
     )
@@ -246,19 +238,19 @@ def _members(d: de.SetDescriptor, bound: int) -> list[PBij]:
 
 
 def _failing(d1, d2, scopes, bound: int, fails) -> list[PBij]:
-    """The elements h of the ``scopes`` with ``fails(h in d1, h in d2)``, in
-    universe order.  The scopes are disjoint.  Each is split into classes by
-    (pairs below R, image), R covering both reaches, and only a class's
-    representative is tested; the elements of a class are listed, and each
-    tested, only when its representative fails."""
+    """The elements h of the ``scopes`` (``_reach`` triples) with
+    ``fails(h in d1, h in d2)``, in universe order.  The scopes are disjoint.
+    Each is split into classes by (pairs below R, image), R covering both
+    reaches, and only a class's representative is tested; the elements of a
+    class are listed, and each tested, only when its representative fails."""
 
     def failed(h: PBij) -> bool:
         return fails(de.member(d1, h), de.member(d2, h))
 
     _check_bound(bound)
-    reach = max(_reach(d1, bound), _reach(d2, bound))
+    reach = max(_reach(d1, bound)[2], _reach(d2, bound)[2])
     found = []
-    for below, r in scopes:
+    for below, r, _ in scopes:
         for elements in _scope_classes(below, r, reach, bound):
             rep = PBij._from_sorted(next(elements))
             if failed(rep):
@@ -269,7 +261,7 @@ def _failing(d1, d2, scopes, bound: int, fails) -> list[PBij]:
 
 def _escapes(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[PBij]:
     """Universe elements in the first set but not the second."""
-    return _failing(d1, d2, [_scope(d1)], bound, lambda a, b: a and not b)
+    return _failing(d1, d2, [_reach(d1, bound)], bound, lambda a, b: a and not b)
 
 
 def _mismatches(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[PBij]:
@@ -282,8 +274,8 @@ def _mismatches(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[
     scope lies inside the first.  So the first alone is scanned when P2's
     pairs below r1 are P1, and otherwise both, which share no element.
     """
-    wide, narrow = sorted((_scope(d1), _scope(d2)), key=itemgetter(1))
-    (p1, r1), (p2, _) = wide, narrow
+    wide, narrow = sorted((_reach(d1, bound), _reach(d2, bound)), key=itemgetter(1))
+    (p1, r1, _), (p2, _, _) = wide, narrow
     nested = p2[: bisect_left(p2, (r1,))] == p1
     return _failing(d1, d2, [wide] if nested else [wide, narrow], bound, ne)
 
@@ -593,56 +585,34 @@ def _remark_eval(bound: int, case) -> list[tuple[str, PBij]]:
     return [(label, h) for h in _mismatches(lhs, rhs, bound)]
 
 
-def _rand_descriptor(rng: random.Random, depth: int = 0) -> de.SetDescriptor:
-    fs = waning_sample()
-    small = enumerate_universe(3)
-    kinds = ["hit", "dommiss", "immiss", "U", "W", "wany", "fix"]
-    if depth < 2:
-        kinds += ["dual", "and"]
-    kind = rng.choice(kinds)
-    if kind == "hit":
-        return de.PointHit(rng.randint(0, 3), rng.randint(0, 3))
-    if kind == "dommiss":
-        return de.DomMiss(rng.randint(0, 3))
-    if kind == "immiss":
-        return de.ImMiss(rng.randint(0, 3))
-    if kind == "U":
-        return de.UBasic(
-            rng.choice(fs), rng.randint(0, 3), _rand_subset(rng, range(4), 3)
-        )
-    if kind == "W":
-        f = rng.choice(fs)
-        g = rng.choice(small)
-        return de.WNbhd(f, g, de.valid_r_min(f, g) + rng.randint(0, 2))
-    if kind == "wany":
-        families = [
-            _rand_subset(rng, range(4), 2) for _ in range(rng.randint(1, 3))
-        ]
-        return de.Wany(rng.randint(0, 3), families)
-    if kind == "fix":
-        return de.FixBelow(rng.choice(small), rng.randint(0, 4))
-    if kind == "dual":
-        return de.Dual(_rand_descriptor(rng, depth + 1))
-    return de.Intersection(
-        [_rand_descriptor(rng, depth + 1) for _ in range(2)]
-    )
-
-
 def _dual_cases(bound: int, seed: int, sample: int) -> list:
-    rng = random.Random(seed)
-    return [_rand_descriptor(rng) for _ in range(sample)]
+    return list(waning_sample()[:sample])
+
+
+def _cross_family_failures(f: WaningFn, bound: int) -> list[tuple[str, PBij]]:
+    """The x < bound, r < 2 * bound where ``cross_family_witness(x, r)`` is
+    outside Dual(W(f, EMPTY, r)) or inside DomMiss(x), or its inverse is
+    outside W(f, EMPTY, r) or inside ImMiss(x)."""
+    found = []
+    for x, r in itertools.product(range(bound), range(2 * bound)):
+        h, w = de.cross_family_witness(x, r), de.WNbhd(f, EMPTY, r)
+        inside = de.member(de.Dual(w), h) and de.member(w, h.inverse())
+        avoided = de.member(de.DomMiss(x), h) or de.member(de.ImMiss(x), h.inverse())
+        if avoided or not inside:
+            found.append((dumps({"f": fn_to_obj(f), "x": x, "r": r}) + "#witness", h))
+    return found
 
 
 def _dual_eval(bound: int, case) -> list[tuple[str, PBij]]:
-    d = case
-    label = dumps(descriptor_to_obj(d))
-    dual, double = de.Dual(d), de.Dual(de.Dual(d))
-    found = []
-    for h in enumerate_universe(bound):
-        if de.member(dual, h) != de.member(d, h.inverse()):
-            found.append((label, h))
-        if de.member(double, h) != de.member(d, h):
-            found.append((label + "#involution", h))
+    """Across the two families only the top is comparable: off the top the
+    witnesses separate them, and ``compare`` agrees on the whole sample."""
+    f = case
+    found = [] if f == CONST_ZERO else _cross_family_failures(f, bound)
+    for g in waning_sample():
+        order = compare(PolishTopology(f), PolishTopology(g, dual=True))
+        if (order == Comparison.INCOMPARABLE) != (CONST_ZERO not in (f, g)):
+            label = dumps({"f": fn_to_obj(f), "g": fn_to_obj(g)})
+            found.append((label + "#compare", EMPTY))
     return found
 
 

@@ -148,34 +148,32 @@ def descriptor_from_obj(obj: Any) -> SetDescriptor:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise DomainError(f"expected a single-tag descriptor object, got {obj!r}")
     tag, body = next(iter(obj.items()))
+    # the constructors refuse points, sizes and radii that are not naturals
     if tag == "hit":
-        return PointHit(_nat_from_obj(body[0]), _nat_from_obj(body[1]))
+        x, y = body
+        return PointHit(x, y)
     if tag == "dommiss":
-        return DomMiss(_nat_from_obj(body))
+        return DomMiss(body)
     if tag == "immiss":
-        return ImMiss(_nat_from_obj(body))
+        return ImMiss(body)
     if tag == "U":
         _check_keys(body, "f", "n", "X")
         return UBasic(
-            fn_from_obj(body["f"]),
-            _nat_from_obj(body["n"]),
-            nats_from_obj(body.get("X", [])),
+            fn_from_obj(body["f"]), body["n"], nats_from_obj(body.get("X", []))
         )
     if tag == "W":
         _check_keys(body, "f", "g", "r")
-        return WNbhd(
-            waning_from_obj(body["f"]), pb_from_obj(body["g"]), _nat_from_obj(body["r"])
-        )
+        return WNbhd(waning_from_obj(body["f"]), pb_from_obj(body["g"]), body["r"])
     if tag == "wany":
         _check_keys(body, "n", "Ys")
-        return Wany(_nat_from_obj(body["n"]), (nats_from_obj(ys) for ys in body["Ys"]))
+        return Wany(body["n"], (nats_from_obj(ys) for ys in body["Ys"]))
     if tag == "dual":
         return Dual(descriptor_from_obj(body))
     if tag == "and":
         return Intersection(descriptor_from_obj(p) for p in body)
     if tag == "fix":
         _check_keys(body, "g", "r")
-        return FixBelow(pb_from_obj(body["g"]), _nat_from_obj(body["r"]))
+        return FixBelow(pb_from_obj(body["g"]), body["r"])
     raise DomainError(f"unknown descriptor tag {tag!r}")
 
 

@@ -4,7 +4,8 @@ Each topology is labelled by a waning function together with a side: the
 direct family contains the domain-avoidance topology, the dual family its
 image-avoidance mirror.  Containment inside one family mirrors ``preceq`` on
 the labels; across families only the common top (labelled by the constant-0
-function, where the two families merge) is comparable with anything.
+function, where the two families merge) is comparable with anything, as the
+``dual`` suite checks with ``cross_family_witness``.
 
 Also provides an order embedding of arbitrary finite posets into waning
 functions and DOT export of covering diagrams.

@@ -193,5 +193,5 @@ def test_criterion_11_collapse_isomorphism():
 
 def test_criterion_12_dual_symmetry():
     _suite_criterion(
-        "12", "dual symmetry", 10.0, "dual", bound=4, seed=1, sample=50
+        "12", "cross-family incomparability", 10.0, "dual", bound=4, seed=1, sample=50
     )

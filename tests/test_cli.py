@@ -284,6 +284,11 @@ def test_bad_json_is_usage_error(capsys):
 def test_malformed_payload_is_usage_error(capsys):
     code, _, err = run(capsys, "member", "--d", '{"hit":5}', "--pb", "[]")
     assert code == 2
+    # a pair of the wrong length is refused, not truncated to its first two
+    for body in ("[0]", "[0,0,7]"):
+        d = '{"hit":%s}' % body
+        code, out, err = run(capsys, "member", "--d", d, "--pb", "[[0,0]]")
+        assert (code, out) == (2, "") and "malformed" in err
     code, _, err = run(capsys, "embed", "--poset", "/nonexistent/poset.json")
     assert code == 2
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import deadline, pbijs, waning_fns
+from strategies import deadline, descriptors, pbijs, waning_fns
 from waning import (
     CONST_OMEGA,
     CONST_ZERO,
@@ -33,6 +33,7 @@ from waning import (
     closure,
     continuity_p,
     cover_witness,
+    cross_family_witness,
     enumerate_universe,
     member,
     much_wan_witness,
@@ -115,6 +116,25 @@ def test_radius_not_a_natural_refused_at_construction():
             WNbhd(CONST_ZERO, EMPTY, r)
     with pytest.raises(DomainError):
         WNbhd(CONST_OMEGA, EMPTY, -2)
+
+
+@pytest.mark.parametrize("v", [-1, 1.5, True])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: PointHit(v, 0),
+        lambda v: PointHit(0, v),
+        DomMiss,
+        ImMiss,
+        lambda v: UBasic(CONST_ZERO, v, {0}),
+        lambda v: UBasic(CONST_ZERO, 0, {0, v}),
+        lambda v: Wany(v, [{0}]),
+        lambda v: Wany(0, [{0}, {2, v}]),
+    ],
+)
+def test_points_and_sizes_not_naturals_refused_at_construction(make, v):
+    with pytest.raises(DomainError, match="not a natural"):
+        make(v)
 
 
 small_pbijs = pbijs(max_point=4, max_size=3)
@@ -451,18 +471,26 @@ def test_witnesses_refuse_points_that_are_not_naturals():
     for r in (2.5, 7.0):
         with pytest.raises(DomainError):
             order_counterexample(CONST_ZERO, WaningFn(drops=(1,)), r)
+    for v in (-1, 2.5, True):
+        with pytest.raises(DomainError):
+            cross_family_witness(v, 0)
+        with pytest.raises(DomainError):
+            cross_family_witness(0, v)
 
 
-@given(pbijs(max_point=3, max_size=2))
-@settings(max_examples=40)
-def test_dual_involution_and_semantics(h):
-    descriptors = [
-        DomMiss(1),
-        ImMiss(0),
-        UBasic(WaningFn(drops=(2,)), 1, {0}),
-        Wany(1, [frozenset({0}), frozenset({2})]),
-        FixBelow(pb((0, 1)), 2),
-    ]
-    for d in descriptors:
-        assert member(Dual(d), h) == member(d, h.inverse())
-        assert member(Dual(Dual(d)), h) == member(d, h)
+@given(waning_fns(), st.integers(0, 9), st.integers(0, 9))
+def test_cross_family_witness_separates_off_the_top(f, x, r):
+    h = cross_family_witness(x, r)
+    w = WNbhd(f, EMPTY, r)
+    assert h == pb((x, r))
+    assert not member(DomMiss(x), h) and not member(ImMiss(x), h.inverse())
+    # off the top f(0) >= 1 allows the one mistake; at the top only x >= r works
+    separated = member(Dual(w), h) and member(w, h.inverse())
+    assert separated == (f != CONST_ZERO or x >= r)
+
+
+@given(descriptors(), pbijs(max_point=4, max_size=3))
+@settings(max_examples=200)
+def test_dual_involution_and_semantics(d, h):
+    assert member(Dual(d), h) == member(d, h.inverse())
+    assert member(Dual(Dual(d)), h) == member(d, h)

@@ -35,8 +35,9 @@ from waning import (
     waning_sample,
 )
 from waning import harness
-from waning.descriptors import DomMiss, Intersection, Wany
-from waning.serialize import pb_to_obj
+from waning.descriptors import DomMiss, Dual, Intersection, Wany
+from waning.serialize import fn_to_obj, pb_to_obj
+from waning.topology import Comparison, compare
 
 
 def test_universe_counts():
@@ -99,10 +100,10 @@ def _assert_candidates_cover(d, bound):
     assert {h for h in us if member(d, h)} <= set(got)
 
 
-@given(st.integers(0, 2**32), st.integers(0, 4))
+@given(descriptors(), st.integers(0, 4))
 @settings(max_examples=80, deadline=None)
-def test_candidates_cover_random_descriptors(seed, bound):
-    _assert_candidates_cover(harness._rand_descriptor(random.Random(seed)), bound)
+def test_candidates_cover_random_descriptors(d, bound):
+    _assert_candidates_cover(d, bound)
 
 
 @given(
@@ -317,6 +318,44 @@ def test_dmap_reports_a_faulty_collapse(monkeypatch):
     # a constant EMPTY is multiplicative but not injective
     monkeypatch.setattr(harness, "collapse", lambda g, h: EMPTY)
     assert _dmap_kinds() == {"injective"}
+
+
+def test_dual_reports_a_faulty_compare(monkeypatch):
+    assert run_suite("dual").ok
+    f, g = WaningFn(drops=(2,)), WaningFn(drops=(3, 1))
+
+    def faulty(t1, t2):
+        if (t1.f, t2.f, t2.dual) == (f, g, True):
+            return Comparison.FINER_STRICT
+        return compare(t1, t2)
+
+    monkeypatch.setattr(harness, "compare", faulty)
+    report = run_suite("dual")
+    assert [inputs for inputs, _ in report.counterexamples] == [
+        json.dumps({"f": fn_to_obj(f), "g": fn_to_obj(g)}, separators=(",", ":"))
+        + "#compare"
+    ]
+
+
+def test_dual_witness_fails_at_the_top():
+    # W(0, EMPTY, r) allows no mistake, so {(r, x)} escapes it when x < r
+    found = harness._cross_family_failures(CONST_ZERO, 4)
+    cases = [json.loads(label.removesuffix("#witness")) for label, _ in found]
+    assert sorted((c["x"], c["r"]) for c in cases) == [
+        (x, r) for x in range(4) for r in range(8) if x < r
+    ]
+
+
+@pytest.mark.parametrize(
+    "g", [CONST_OMEGA, WaningFn(drops=(1,)), WaningFn(omega_prefix=1, drops=(5, 2))]
+)
+def test_dual_neighbourhoods_of_empty_escape_domain_avoidance(g):
+    # independent of the witness: a scan of I_4 finds an escaping element.
+    # The scan sees radii below its bound only: an element of the dual
+    # r-neighbourhood has no target below r, so in I_4 it is EMPTY once r >= 4
+    for x in range(4):
+        for r in range(4):
+            assert not subset_check(Dual(WNbhd(g, EMPTY, r)), DomMiss(x), 4).ok
 
 
 def test_waning_sample_is_fixed():
