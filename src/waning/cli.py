@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import descriptors as de
 from . import serialize as se
-from .errors import DomainError, WaningError
+from .errors import WaningError
 from .functions import (
     OMEGA,
     WaningFn,
@@ -317,21 +317,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_naturals(args) -> None:
-    """Refuse a negative integer flag, as the JSON decoders refuse a negative
-    natural."""
-    for name in ("n", "r"):
-        value = getattr(args, name, None)
-        # eval's --n is text, decoded by _parse_index
-        if isinstance(value, int) and value < 0:
-            raise DomainError(f"--{name} must be a natural, got {value}")
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_naturals(args)
         code = args.handler(args)
         sys.stdout.flush()
         return code

@@ -21,14 +21,13 @@ from typing import Iterable, Union
 from .errors import (
     BadBase,
     BoundTooLarge,
-    DomainError,
     InvalidDescriptor,
     InvalidR,
     NoWitness,
     NotMember,
     PreconditionError,
 )
-from .functions import SIZE_LIMIT, GenFn, WaningFn, closure, is_omega
+from .functions import SIZE_LIMIT, GenFn, WaningFn, check_nat, closure, is_omega
 from .pbij import PBij
 
 
@@ -40,7 +39,7 @@ class PointHit:
     y: int
 
     def __post_init__(self):
-        _check_nat(self.x, self.y)
+        check_nat(self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ class DomMiss:
     x: int
 
     def __post_init__(self):
-        _check_nat(self.x)
+        check_nat(self.x)
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class ImMiss:
     x: int
 
     def __post_init__(self):
-        _check_nat(self.x)
+        check_nat(self.x)
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,7 @@ class UBasic:
 
     def __post_init__(self):
         object.__setattr__(self, "avoid", frozenset(self.avoid))
-        _check_nat(self.n, *self.avoid)
+        check_nat(self.n, *self.avoid)
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ class WNbhd:
     r: int
 
     def __post_init__(self):
-        _check_nat(self.r)
+        check_nat(self.r)
         if not _wnbhd_valid(self.f, self.g, self.r):
             raise InvalidDescriptor(
                 f"radius {self.r} is not valid for this neighbourhood"
@@ -110,7 +109,7 @@ class Wany:
         sets = {frozenset(ys) for ys in families}
         if not sets:
             raise InvalidDescriptor("empty family of avoided sets")
-        _check_nat(n, *(y for ys in sets for y in ys))
+        check_nat(n, *(y for ys in sets for y in ys))
         object.__setattr__(
             self, "families", tuple(sorted(sets, key=lambda ys: sorted(ys)))
         )
@@ -139,20 +138,12 @@ class FixBelow:
     r: int
 
     def __post_init__(self):
-        _check_nat(self.r)
+        check_nat(self.r)
 
 
 SetDescriptor = Union[
     PointHit, DomMiss, ImMiss, UBasic, WNbhd, Wany, Dual, Intersection, FixBelow
 ]
-
-
-def _check_nat(*values: int) -> None:
-    """DomainError unless every value is a natural: a point, size or radius
-    of a descriptor.  Floats and bools are refused, not truncated."""
-    for v in values:
-        if type(v) is not int or v < 0:
-            raise DomainError(f"{v!r} is not a natural")
 
 
 def _wnbhd_valid(f: WaningFn, g: PBij, r: int) -> bool:
@@ -251,6 +242,7 @@ def much_wan_witness(f: GenFn, g: PBij, r: int) -> SetDescriptor:
     neighbourhood on finite elements.  Raises BoundTooLarge when a finite
     budget makes that set list the more than SIZE_LIMIT points of range(r).
     """
+    check_nat(r)
     fp = closure(f)
     if not _wnbhd_valid(fp, g, r):
         raise PreconditionError(f"radius {r} is not valid for the closure")
@@ -302,6 +294,7 @@ def continuity_p(f: WaningFn, a: PBij, b: PBij, r: int) -> int:
     [p, r) outside im(b) for free, and ``continuity`` fails at bound 4 on
     some seeds (see "Make continuity sound" in ROADMAP.md).
     """
+    check_nat(r)
     c = a * b
     if not _wnbhd_valid(f, c, r):
         raise InvalidR(f"radius {r} is not valid for the product")
@@ -322,6 +315,7 @@ def order_counterexample(
     one.  Raises NoWitness when f(n) >= g(n) everywhere, and BoundTooLarge
     when the element would have more than SIZE_LIMIT pairs.
     """
+    check_nat(r)
     if f.const_omega:
         n = None
     else:
@@ -336,7 +330,6 @@ def order_counterexample(
         raise BoundTooLarge(f"the witness has {b} pairs, above {SIZE_LIMIT}")
     if r <= b:
         raise PreconditionError(f"radius {r} must exceed the separation bound {b}")
-    _check_nat(r)
     # sources 0..n-1 then from r > b > n on, targets 0..b-1: sorted and injective
     extra = tuple((r + i, n + i) for i in range(b - n))
     return n, b, PBij._from_sorted(PBij.identity(n).pairs + extra)
@@ -354,7 +347,7 @@ def cross_family_witness(x: int, r: int) -> PBij:
     when x < r, which f(0) >= 1 off the top allows; at the top those cases
     fail.  And x lies in the domain of {(x, r)} and the image of {(r, x)}.
     """
-    _check_nat(x, r)
+    check_nat(x, r)
     return PBij._from_sorted(((x, r),))
 
 
@@ -375,11 +368,11 @@ def cover_witness(
     """
     avoid = frozenset(avoid)
     covered = frozenset(covered_m)
+    check_nat(n, *avoid, *covered)
     if (h0.pairs and h0.pairs[-1][0] >= n) or not h0.image.isdisjoint(avoid):
         raise BadBase("base is not a partial bijection from n avoiding the set")
     if not includes_dommiss and not covered:
         return h0
-    _check_nat(n)
     banned = avoid | h0.image | covered
     v = 0
     while v in banned:

@@ -41,6 +41,14 @@ def is_omega(value: ExtNat) -> bool:
     return value == OMEGA
 
 
+def check_nat(*values: int) -> None:
+    """DomainError unless every value is a natural: a plain non-negative
+    ``int``.  Floats and bools are refused, not truncated."""
+    for v in values:
+        if type(v) is not int or v < 0:
+            raise DomainError(f"{v!r} is not a natural")
+
+
 def _check_extnat(value: ExtNat) -> ExtNat:
     """``value`` if it is a natural or OMEGA; DomainError otherwise."""
     if (type(value) is int and value >= 0) or is_omega(value):
@@ -89,14 +97,11 @@ class WaningFn:
     def __post_init__(self):
         drops = tuple(self.drops)
         object.__setattr__(self, "drops", drops)
-        if {type(self.omega_prefix), *map(type, drops)} != {int}:
-            raise DomainError(f"not plain ints: {self.omega_prefix!r}, {drops!r}")
+        check_nat(self.omega_prefix, *drops)
         if self.const_omega:
             if self.omega_prefix or drops:
                 raise DomainError("constant-omega form carries no finite data")
             return
-        if self.omega_prefix < 0:
-            raise DomainError("negative omega prefix")
         if drops and drops[-1] < 1:
             raise DomainError(f"drops must stay positive: {drops}")
         if not all(map(gt, drops, drops[1:])):
@@ -285,15 +290,13 @@ def enumerate_below(f: WaningFn) -> list[WaningFn]:
 
 def descending_chain_element(n: int) -> WaningFn:
     """n at index 0 and 0 everywhere else; strictly descending in n."""
-    if n < 0:
-        raise DomainError(f"negative chain index {n}")
+    check_nat(n)
     return CONST_ZERO if n == 0 else WaningFn(drops=(n,))
 
 
 def staircase(c: int) -> WaningFn:
     """The pointwise-largest omega-free waning function with value c at 0."""
-    if c < 0:
-        raise DomainError(f"negative start value {c}")
+    check_nat(c)
     return WaningFn(drops=tuple(range(c, 0, -1)))
 
 

@@ -49,6 +49,7 @@ from .functions import (
     OMEGA,
     GenFn,
     WaningFn,
+    check_nat,
     closure,
     count_with_first_value_below,
     descending_chain_element,
@@ -65,19 +66,20 @@ _PAIRS = attrgetter("pairs")
 
 def universe_size(bound: int) -> int:
     """Closed form: sum over k of C(bound, k)^2 * k!."""
+    check_nat(bound)
     return sum(
         math.comb(bound, k) ** 2 * math.factorial(k) for k in range(bound + 1)
     )
 
 
 def _check_bound(bound: int) -> None:
-    if bound < 0:
-        raise DomainError(f"negative bound {bound}")
+    check_nat(bound)
     if bound > MAX_BOUND:
         raise BoundTooLarge(f"bound {bound} exceeds the maximum {MAX_BOUND}")
 
 
-@lru_cache(maxsize=None)
+# typed: 1.0 and True equal 1, and must not find the cached universe of bound 1
+@lru_cache(maxsize=None, typed=True)
 def enumerate_universe(bound: int) -> tuple[PBij, ...]:
     """All partial bijections inside range(bound), in lexicographic order."""
     _check_bound(bound)
@@ -825,13 +827,12 @@ def run_suite(
     """
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r} (have {', '.join(_SUITES)})")
-    if jobs < 1:
-        raise DomainError(f"jobs must be at least 1, got {jobs}")
     build, evaluate, default_bound, default_sample = _SUITES[name]
     bound = default_bound if bound is None else bound
     sample = default_sample if sample is None else sample
-    if sample < 0:
-        raise DomainError(f"sample must be non-negative, got {sample}")
+    check_nat(bound, sample, jobs)
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     started = time.perf_counter()
     cases = build(bound, seed, sample)
     workers = min(jobs, len(cases), available_cpus())

@@ -13,6 +13,7 @@ from functools import cached_property
 from typing import Iterable, Literal
 
 from .errors import DomainError, PreconditionError
+from .functions import check_nat
 
 
 @dataclass(frozen=True)
@@ -30,10 +31,7 @@ class PBij:
         fwd = {}
         targets = set()
         for x, y in pairs:
-            # points are plain ints: bools, floats and negatives are refused,
-            # not truncated
-            if type(x) is not int or type(y) is not int or x < 0 or y < 0:
-                raise DomainError(f"pair ({x!r}, {y!r}) is not a pair of naturals")
+            check_nat(x, y)
             if x in fwd:
                 raise DomainError(f"source {x} mapped twice")
             if y in targets:
@@ -116,8 +114,7 @@ def reindex(avoid: Iterable[int], x: int, direction: Literal["forward", "inverse
     ``inverse`` sends a natural outside ``avoid`` back to its rank.
     """
     avoid = frozenset(avoid)
-    if x < 0:
-        raise DomainError(f"negative point {x}")
+    check_nat(x)
     if direction == "forward":
         # each avoided point at or below the running value pushes it one up
         value = x

@@ -29,19 +29,12 @@ from .descriptors import (
     WNbhd,
 )
 from .errors import DomainError
-from .functions import OMEGA, ExtNat, GenFn, WaningFn, is_omega
+from .functions import OMEGA, ExtNat, GenFn, WaningFn, check_nat, is_omega
 from .pbij import PBij
 
 
 def value_to_obj(v: ExtNat) -> Any:
     return "omega" if is_omega(v) else int(v)
-
-
-def _nat_from_obj(obj: Any) -> int:
-    """A JSON natural; floats, bools and negatives are refused, not truncated."""
-    if isinstance(obj, bool) or not isinstance(obj, int) or obj < 0:
-        raise DomainError(f"expected a natural, got {obj!r}")
-    return obj
 
 
 def _check_keys(obj: Any, *keys: str) -> None:
@@ -52,14 +45,21 @@ def _check_keys(obj: Any, *keys: str) -> None:
 
 
 def value_from_obj(obj: Any) -> ExtNat:
-    return OMEGA if obj == "omega" else _nat_from_obj(obj)
+    """A natural or "omega"; a JSON ``Infinity``, which ``json.loads`` reads
+    as OMEGA, is refused."""
+    if obj == "omega":
+        return OMEGA
+    check_nat(obj)
+    return obj
 
 
 def nats_from_obj(obj: Any) -> frozenset[int]:
-    """A set of naturals, from an array of JSON naturals."""
+    """A set of naturals, from an array of JSON naturals; checked before the
+    set is built, where ``true`` and ``1.0`` would merge into ``1``."""
     if not isinstance(obj, list):
         raise DomainError(f"expected an array of naturals, got {obj!r}")
-    return frozenset(_nat_from_obj(x) for x in obj)
+    check_nat(*obj)
+    return frozenset(obj)
 
 
 def pb_to_obj(p: PBij) -> list:
@@ -84,10 +84,7 @@ def waning_from_obj(obj: Any) -> WaningFn:
     if obj == {"const": "omega"}:
         return WaningFn(const_omega=True)
     _check_keys(obj, "omega_prefix", "drops")
-    return WaningFn(
-        omega_prefix=_nat_from_obj(obj.get("omega_prefix", 0)),
-        drops=tuple(_nat_from_obj(d) for d in obj.get("drops", ())),
-    )
+    return WaningFn(obj.get("omega_prefix", 0), obj.get("drops", ()))
 
 
 def genfn_to_obj(f: GenFn) -> dict:

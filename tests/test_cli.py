@@ -421,8 +421,10 @@ def test_verify_writes_document(capsys, tmp_path):
         ],
         ["witness", "--kind", "much-wan", "--f", '{"const":"omega"}', "--pb", "[]", "--r", "-1"],
         ["verify", "--suite", "continuity", "--sample", "-3", "--jobs", "1"],
+        ["witness", "--kind", "cover", "--n", "-1", "--pb", "[]"],
+        ["verify", "--suite", "census", "--bound", "-1", "--jobs", "1"],
     ],
-    ids=["n", "r", "sample"],
+    ids=["n", "r", "sample", "cover-n", "bound"],
 )
 def test_negative_integer_flags_refused(capsys, argv):
     code, out, err = run(capsys, *argv)

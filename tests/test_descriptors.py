@@ -468,6 +468,10 @@ def test_witnesses_refuse_points_that_are_not_naturals():
     for n in (-1, 2.5, True):
         with pytest.raises(DomainError):
             cover_witness(n, EMPTY, set(), {0}, False)
+    # checked before the empty subfamily returns the base unchanged
+    for args in ((-1, EMPTY, [], [], False), (0, EMPTY, [-1], [0], False)):
+        with pytest.raises(DomainError, match="not a natural"):
+            cover_witness(*args)
     for r in (2.5, 7.0):
         with pytest.raises(DomainError):
             order_counterexample(CONST_ZERO, WaningFn(drops=(1,)), r)
@@ -476,6 +480,12 @@ def test_witnesses_refuse_points_that_are_not_naturals():
             cross_family_witness(v, 0)
         with pytest.raises(DomainError):
             cross_family_witness(0, v)
+    # an OMEGA radius passes the validity test that f(r) makes
+    for r in (-1, 2.5, True, OMEGA):
+        with pytest.raises(DomainError, match="not a natural"):
+            much_wan_witness(GenFn(prefix=(2,)), EMPTY, r)
+        with pytest.raises(DomainError, match="not a natural"):
+            continuity_p(WaningFn(drops=(2,)), pb((0, 0)), pb((0, 1)), r)
 
 
 @given(waning_fns(), st.integers(0, 9), st.integers(0, 9))

@@ -283,10 +283,27 @@ def test_canonical_equality_is_pointwise():
         {"drops": (3, "1")},
         {"omega_prefix": 1.5},
         {"omega_prefix": True},
+        {"omega_prefix": -1},
+        {"omega_prefix": -1, "const_omega": True},
     ],
 )
 def test_non_integer_entries_rejected_not_truncated(kwargs):
-    with pytest.raises(DomainError, match="not plain ints"):
+    with pytest.raises(DomainError, match="not a natural"):
+        WaningFn(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"const_omega": True, "drops": (1,)}, "no finite data"),
+        ({"const_omega": True, "omega_prefix": 2}, "no finite data"),
+        ({"drops": (2, 0)}, "stay positive"),
+        ({"drops": (1, 2)}, "not strictly decreasing"),
+        ({"drops": (2, 2)}, "not strictly decreasing"),
+    ],
+)
+def test_malformed_canonical_forms_refused(kwargs, match):
+    with pytest.raises(DomainError, match=match):
         WaningFn(**kwargs)
 
 

@@ -23,11 +23,14 @@ from waning import (
     WNbhd,
     all_posets,
     collapse,
+    descending_chain_element,
     enumerate_universe,
     equality_check,
     member,
     product_containment_check,
+    reindex,
     run_suite,
+    staircase,
     subset_check,
     suite_names,
     universe_size,
@@ -480,6 +483,50 @@ def test_run_suite_rejects_bad_jobs():
     for jobs in (0, -1):
         with pytest.raises(DomainError):
             run_suite("census", jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_suite("census", bound=2.5),
+        lambda: run_suite("census", bound=-1),
+        lambda: run_suite("census", sample=2.5),
+        lambda: run_suite("census", jobs=1.5),
+        lambda: run_suite("census", jobs=True),
+        lambda: subset_check(DomMiss(0), DomMiss(0), True),
+        lambda: subset_check(DomMiss(0), DomMiss(0), 2.0),
+        lambda: enumerate_universe(2.5),
+        lambda: enumerate_universe(True),
+        lambda: enumerate_universe(1.0),
+        lambda: universe_size(-1),
+        lambda: staircase(2.5),
+        lambda: staircase(-1),
+        lambda: descending_chain_element(-1),
+        lambda: reindex({0}, 1.5),
+    ],
+    ids=[
+        "suite-bound-float",
+        "suite-bound-negative",
+        "suite-sample-float",
+        "suite-jobs-float",
+        "suite-jobs-bool",
+        "subset-bound-bool",
+        "subset-bound-float",
+        "universe-float",
+        "universe-bool",
+        "universe-integral-float",
+        "universe-size-negative",
+        "staircase-float",
+        "staircase-negative",
+        "chain-negative",
+        "reindex-float",
+    ],
+)
+def test_entry_points_refuse_non_naturals(call):
+    # 1.0 and True equal 1, so they must not find a cached universe of bound 1
+    enumerate_universe(1)
+    with pytest.raises(DomainError, match="not a natural"):
+        call()
 
 
 def test_counterexamples_sorted_canonically():

@@ -58,7 +58,7 @@ def test_validation_rejects_non_bijections():
     "pairs", [[(1.5, 2)], [(1.5, 2), (True, 0)], [(0, False)], [("1", 2)]]
 )
 def test_non_integer_points_rejected_not_truncated(pairs):
-    with pytest.raises(DomainError, match="not a pair of naturals"):
+    with pytest.raises(DomainError, match="not a natural"):
         PBij(pairs)
 
 

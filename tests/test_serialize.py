@@ -156,6 +156,28 @@ def test_unknown_keys_rejected(parse, obj):
         parse(obj)
 
 
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        # json.loads reads Infinity as math.inf, which is OMEGA
+        (genfn_from_obj, '{"prefix":[Infinity]}'),
+        (genfn_from_obj, '{"tail":Infinity}'),
+        (genfn_from_obj, '{"omega":Infinity}'),
+        (nats_from_obj, '{"0":0}'),
+        (pb_from_obj, '{"0":0}'),
+        (waning_from_obj, "[]"),
+        (genfn_from_obj, "[]"),
+        (descriptor_from_obj, '{"dommiss":0,"immiss":0}'),
+        (descriptor_from_obj, '{"point":[0,0]}'),
+        (topology_from_obj, '{"left":{"drops":[]}}'),
+        (poset_from_obj, '["a"]'),
+    ],
+)
+def test_malformed_payloads_refused(parse, text):
+    with pytest.raises(DomainError):
+        parse(json.loads(text))
+
+
 def test_raw_omega_is_not_encoded():
     with pytest.raises(ValueError):
         dumps([OMEGA])
