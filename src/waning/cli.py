@@ -29,6 +29,7 @@ from .errors import WaningError
 from .functions import (
     OMEGA,
     WaningFn,
+    check_nat,
     closure,
     descending_chain_element,
     enumerate_below,
@@ -98,7 +99,7 @@ def _cmd_closure(args) -> int:
 
 def _cmd_eval(args) -> int:
     fn = _decode(args.f, "--f", se.fn_from_obj)
-    value = fn(_parse_index(args.n))
+    value = fn(_parse_index(args.index))
     print(se.dumps(se.value_to_obj(value)))
     return 0
 
@@ -255,7 +256,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fn_flag = {"required": True, "help": "function JSON"}
     cmd("waning-check", _cmd_waning_check, f=fn_flag)
     cmd("closure", _cmd_closure, f=fn_flag)
-    cmd("eval", _cmd_eval, f=fn_flag, n={"required": True, "help": "index"})
+    # eval's --n is an index that may be "omega", so it stays off args.n,
+    # which main checks as a natural
+    index = {"required": True, "dest": "index", "help": "index or \"omega\""}
+    cmd("eval", _cmd_eval, f=fn_flag, n=index)
     topo = {"required": True, "help": "topology JSON"}
     cmd("compare", _cmd_compare, t1=topo, t2=topo)
     cmd("join", _cmd_join, t1=topo, t2=topo)
@@ -321,6 +325,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # a negative --n or --r is refused even where the command ignores it
+        given = (vars(args).get(flag) for flag in ("n", "r"))
+        check_nat(*(v for v in given if v is not None))
         code = args.handler(args)
         sys.stdout.flush()
         return code

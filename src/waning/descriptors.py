@@ -27,7 +27,15 @@ from .errors import (
     NotMember,
     PreconditionError,
 )
-from .functions import SIZE_LIMIT, GenFn, WaningFn, check_nat, closure, is_omega
+from .functions import (
+    SIZE_LIMIT,
+    GenFn,
+    WaningFn,
+    check_nat,
+    closure,
+    is_omega,
+    nat_set,
+)
 from .pbij import PBij
 
 
@@ -72,8 +80,8 @@ class UBasic:
     avoid: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "avoid", frozenset(self.avoid))
-        check_nat(self.n, *self.avoid)
+        check_nat(self.n)
+        object.__setattr__(self, "avoid", nat_set(self.avoid))
 
 
 @dataclass(frozen=True)
@@ -106,10 +114,10 @@ class Wany:
     def __init__(self, n: int, families: Iterable[Iterable[int]]):
         object.__setattr__(self, "n", n)
         # canonical order so structural equality matches set-of-sets equality
-        sets = {frozenset(ys) for ys in families}
+        sets = {nat_set(ys) for ys in families}
         if not sets:
             raise InvalidDescriptor("empty family of avoided sets")
-        check_nat(n, *(y for ys in sets for y in ys))
+        check_nat(n)
         object.__setattr__(
             self, "families", tuple(sorted(sets, key=lambda ys: sorted(ys)))
         )
@@ -146,8 +154,19 @@ SetDescriptor = Union[
 ]
 
 
+def _trusted(cls, *values):
+    """``cls(*values)`` for a descriptor class, built without the
+    constructor's checks.  Each call states beside it why they would pass.
+    It pays only where the checks cost more than this generic build: it is
+    slower than ``FixBelow``'s constructor, whose one check is on ``r``."""
+    d = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(d, name, value)
+    return d
+
+
 def _wnbhd_valid(f: WaningFn, g: PBij, r: int) -> bool:
-    size_value = f(len(g))
+    size_value = f(len(g.pairs))
     return f(r) <= size_value and f(bisect_left(g.pairs, (r,))) == size_value
 
 
@@ -155,6 +174,12 @@ def _agrees_below(h: PBij, g: PBij, r: int) -> bool:
     """True when h and g have the same pairs with source below r."""
     k = bisect_left(g.pairs, (r,))
     return bisect_left(h.pairs, (r,)) == k and h.pairs[:k] == g.pairs[:k]
+
+
+def _ubasic_member(f, n: int, avoid: frozenset[int], h: PBij) -> bool:
+    """Membership of h in ``UBasic(f, n, avoid)``."""
+    inside = sum(1 for _, y in h.pairs if y in avoid)
+    return len(h.pairs) - inside >= n and inside <= f(n)
 
 
 def member(d: SetDescriptor, h: PBij) -> bool:
@@ -166,9 +191,7 @@ def member(d: SetDescriptor, h: PBij) -> bool:
     if isinstance(d, ImMiss):
         return not h.has_target(d.x)
     if isinstance(d, UBasic):
-        inside = sum(1 for _, y in h.pairs if y in d.avoid)
-        outside = len(h) - inside
-        return outside >= d.n and inside <= d.f(d.n)
+        return _ubasic_member(d.f, d.n, d.avoid, h)
     if isinstance(d, WNbhd):
         if not _agrees_below(h, d.g, d.r):
             return False
@@ -208,9 +231,10 @@ def valid_r_min(f: WaningFn, g: PBij) -> int:
     the drops strictly decrease, so a drop f(|g|) is first taken at |g|;
     0 is first taken at support_end <= |g|.
     """
-    if f.const_omega or len(g) < f.omega_prefix:
+    size = len(g.pairs)
+    if f.const_omega or size < f.omega_prefix:
         return 0
-    k = min(len(g), f.support_end)
+    k = min(size, f.omega_prefix + len(f.drops))
     return g.pairs[k - 1][0] + 1 if k else 0
 
 
@@ -222,8 +246,9 @@ def basis_refinement(f: WaningFn, n: int, avoid: Iterable[int], g: PBij) -> int:
     The second clause holds from one past the source of the n-th pair of g
     whose target is outside ``avoid``; g is a member, so that pair exists.
     """
-    avoid = frozenset(avoid)
-    if not member(UBasic(f, n, avoid), g):
+    check_nat(n)
+    avoid = nat_set(avoid)
+    if not _ubasic_member(f, n, avoid, g):
         raise NotMember("base point is outside the basic set")
     r = valid_r_min(f, g)
     if avoid:
@@ -246,7 +271,7 @@ def much_wan_witness(f: GenFn, g: PBij, r: int) -> SetDescriptor:
     fp = closure(f)
     if not _wnbhd_valid(fp, g, r):
         raise PreconditionError(f"radius {r} is not valid for the closure")
-    size_value = fp(len(g))
+    size_value = fp(len(g.pairs))
     if is_omega(size_value):
         # the mistake budget is unlimited, so only the agreement clause binds
         return FixBelow(g, r)
@@ -258,7 +283,10 @@ def much_wan_witness(f: GenFn, g: PBij, r: int) -> SetDescriptor:
     outside = frozenset(range(r)) - g.image
     hits = sorted(y for _, y in g.pairs[:i])
     picked = frozenset(hits[: i - b])
-    return Intersection((FixBelow(g, r), UBasic(f, j, outside | picked)))
+    # UBasic checks its size and points are naturals: j is drawn from
+    # range(i + 1), and the points from range(r) and the targets of g
+    basic = _trusted(UBasic, f, j, outside | picked)
+    return Intersection((FixBelow(g, r), basic))
 
 
 def tfprime_refinement(
@@ -271,18 +299,22 @@ def tfprime_refinement(
     ``avoid``, the sources of g hitting it, and the first n sources of g
     missing it.
     """
-    avoid = frozenset(avoid)
-    if not member(UBasic(f, n, avoid), g):
+    check_nat(n)
+    avoid = nat_set(avoid)
+    if not _ubasic_member(f, n, avoid, g):
         raise NotMember("base point is outside the basic set")
     fp = closure(f)
-    if fp(len(g)) > 0:
-        return UBasic(fp, n, avoid)
+    if fp(len(g.pairs)) > 0:
+        # n and avoid were checked on entry, as UBasic would check them
+        return _trusted(UBasic, fp, n, avoid)
     hit_sources = [x for x, y in g.pairs if y in avoid]
     miss_sources = [x for x, y in g.pairs if y not in avoid][:n]
     r = valid_r_min(fp, g)
     for point in (*avoid, *hit_sources, *miss_sources):
         r = max(r, point + 1)
-    return WNbhd(fp, g, r)
+    # r is a natural at least valid_r_min(fp, g), and valid radii are closed
+    # upwards (see valid_r_min), so WNbhd's checks pass
+    return _trusted(WNbhd, fp, g, r)
 
 
 def continuity_p(f: WaningFn, a: PBij, b: PBij, r: int) -> int:
@@ -331,8 +363,8 @@ def order_counterexample(
     if r <= b:
         raise PreconditionError(f"radius {r} must exceed the separation bound {b}")
     # sources 0..n-1 then from r > b > n on, targets 0..b-1: sorted and injective
-    extra = tuple((r + i, n + i) for i in range(b - n))
-    return n, b, PBij._from_sorted(PBij.identity(n).pairs + extra)
+    pairs = tuple(zip((*range(n), *range(r, r + b - n)), range(b)))
+    return n, b, PBij._from_sorted(pairs)
 
 
 def cross_family_witness(x: int, r: int) -> PBij:
@@ -366,9 +398,9 @@ def cover_witness(
     the least value outside ``avoid``, im(h0) and the covered values; for an
     empty subfamily h0 itself already works.
     """
-    avoid = frozenset(avoid)
-    covered = frozenset(covered_m)
-    check_nat(n, *avoid, *covered)
+    check_nat(n)
+    avoid = nat_set(avoid)
+    covered = nat_set(covered_m)
     if (h0.pairs and h0.pairs[-1][0] >= n) or not h0.image.isdisjoint(avoid):
         raise BadBase("base is not a partial bijection from n avoiding the set")
     if not includes_dommiss and not covered:

@@ -49,6 +49,16 @@ def check_nat(*values: int) -> None:
             raise DomainError(f"{v!r} is not a natural")
 
 
+def nat_set(points: Iterable[int]) -> frozenset[int]:
+    """The points as a set, each checked by ``check_nat`` first: once the set
+    is built, ``True`` and ``1.0`` have merged into ``1``.  A frozenset is
+    checked as it stands and returned, not copied."""
+    if type(points) is not frozenset:
+        points = tuple(points)
+    check_nat(*points)
+    return frozenset(points)
+
+
 def _check_extnat(value: ExtNat) -> ExtNat:
     """``value`` if it is a natural or OMEGA; DomainError otherwise."""
     if (type(value) is int and value >= 0) or is_omega(value):
@@ -118,6 +128,18 @@ class WaningFn:
         if not is_waning(f):
             raise NotWaning(f.prefix)
         return closure(f)
+
+    @classmethod
+    def _canonical(cls, omega_prefix: int, drops: tuple[int, ...]) -> "WaningFn":
+        """Fast path for a form the caller has shown canonical: a natural
+        ``omega_prefix`` and a tuple of strictly decreasing positive ints."""
+        self = object.__new__(cls)
+        # attribute by attribute, unlike a __dict__ update, keeps the compact
+        # per-instance storage that the checked constructor gives
+        object.__setattr__(self, "omega_prefix", omega_prefix)
+        object.__setattr__(self, "drops", drops)
+        object.__setattr__(self, "const_omega", False)
+        return self
 
     def __call__(self, i: ExtNat) -> ExtNat:
         if type(i) is int and i >= 0:
@@ -210,7 +232,10 @@ def closure(f: GenFn) -> WaningFn:
     if len(drops) + rest > SIZE_LIMIT:
         raise BoundTooLarge(f"the closure has more than {SIZE_LIMIT} drops")
     drops.extend(range(rest, 0, -1))
-    return WaningFn(i, tuple(drops))
+    # canonical: i counts leading OMEGA values; each drop is an int (a finite
+    # value, or one less than the last) below the one before, and positive,
+    # as the run stops at 0
+    return WaningFn._canonical(i, tuple(drops))
 
 
 def preceq(f: WaningFn, g: WaningFn) -> bool:
@@ -230,14 +255,24 @@ def preceq(f: WaningFn, g: WaningFn) -> bool:
 
 
 def join(f: WaningFn, g: WaningFn) -> WaningFn:
-    """Pointwise minimum; the least upper bound of f and g under preceq."""
+    """Pointwise minimum; the least upper bound of f and g under preceq.
+
+    The minimum is waning, with OMEGA prefix ``start`` and drops its values
+    in ``[start, end)``.  There one input is finite and both are positive,
+    so the minimum is a positive int; and each input is OMEGA at i or
+    strictly above its value at i+1, which is at least the minimum there,
+    so the minimum strictly decreases.  Below ``start`` both inputs are
+    OMEGA; from ``end`` on, and at the top point, one is 0.
+    """
     if f.const_omega:
         return g
     if g.const_omega:
         return f
     start = min(f.omega_prefix, g.omega_prefix)
     end = min(f.support_end, g.support_end)
-    return WaningFn(start, tuple(min(f(i), g(i)) for i in range(start, end)))
+    return WaningFn._canonical(
+        start, tuple(min(f(i), g(i)) for i in range(start, end))
+    )
 
 
 def meet(f: WaningFn, g: WaningFn) -> WaningFn:
@@ -252,7 +287,10 @@ def meet(f: WaningFn, g: WaningFn) -> WaningFn:
         return CONST_OMEGA
     start = max(f.omega_prefix, g.omega_prefix)
     end = max(f.support_end, g.support_end)
-    return WaningFn(start, tuple(max(f(i), g(i)) for i in range(start, end)))
+    # in [start, end) both inputs are finite and one is positive
+    return WaningFn._canonical(
+        start, tuple(max(f(i), g(i)) for i in range(start, end))
+    )
 
 
 def enumerate_below(f: WaningFn) -> list[WaningFn]:
@@ -276,7 +314,8 @@ def enumerate_below(f: WaningFn) -> list[WaningFn]:
         # entering with value 0 at index i pins the function from here on
         if len(results) == SIZE_LIMIT:
             raise BoundTooLarge(too_many)
-        results.append(WaningFn(drops=tuple(drops)))
+        # canonical: each value is drawn below the last and above 0
+        results.append(WaningFn._canonical(0, tuple(drops)))
         if i >= f.support_end:
             return
         ceiling = f(i) if not drops else min(f(i), drops[-1] - 1)

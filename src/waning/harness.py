@@ -534,7 +534,6 @@ def _safe_radius(f: WaningFn, g: WaningFn) -> int:
 
 def _order_eval(bound: int, case) -> list[tuple[str, PBij]]:
     f, g = case
-    label = dumps({"f": fn_to_obj(f), "g": fn_to_obj(g)})
     ordered = preceq(f, g)
     try:
         r = _safe_radius(f, g)
@@ -547,6 +546,7 @@ def _order_eval(bound: int, case) -> list[tuple[str, PBij]]:
         separated = False
         witness = EMPTY
     if ordered == separated:
+        label = dumps({"f": fn_to_obj(f), "g": fn_to_obj(g)})
         return [(label + "#dichotomy", witness)]
     return []
 

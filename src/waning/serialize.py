@@ -29,7 +29,7 @@ from .descriptors import (
     WNbhd,
 )
 from .errors import DomainError
-from .functions import OMEGA, ExtNat, GenFn, WaningFn, check_nat, is_omega
+from .functions import OMEGA, ExtNat, GenFn, WaningFn, check_nat, is_omega, nat_set
 from .pbij import PBij
 
 
@@ -58,8 +58,7 @@ def nats_from_obj(obj: Any) -> frozenset[int]:
     set is built, where ``true`` and ``1.0`` would merge into ``1``."""
     if not isinstance(obj, list):
         raise DomainError(f"expected an array of naturals, got {obj!r}")
-    check_nat(*obj)
-    return frozenset(obj)
+    return nat_set(obj)
 
 
 def pb_to_obj(p: PBij) -> list:

@@ -1,6 +1,7 @@
 """Shared hypothesis strategies, brute-force oracles and test helpers."""
 
 import contextlib
+import dataclasses
 import signal
 
 import hypothesis.strategies as st
@@ -92,6 +93,24 @@ def closure_closed_form(f: GenFn, i: int):
 def pointwise_leq(f, g, horizon: int) -> bool:
     """f(i) <= g(i) for all finite i up to a horizon covering both supports."""
     return all(f(i) <= g(i) for i in range(horizon))
+
+
+def rebuilt(value):
+    """``value`` built again through the public constructors, parts first,
+    so that every constructor check runs on it."""
+    if isinstance(value, tuple):
+        return tuple(map(rebuilt, value))
+    if not dataclasses.is_dataclass(value):
+        return value
+    fields = dataclasses.fields(value)
+    return type(value)(**{f.name: rebuilt(getattr(value, f.name)) for f in fields})
+
+
+def assert_rebuilds(value):
+    """Oracle for a value built without its constructor's checks: the checked
+    rebuild must succeed and be the same value."""
+    copy = rebuilt(value)
+    assert copy == value and hash(copy) == hash(value)
 
 
 @contextlib.contextmanager

@@ -423,8 +423,11 @@ def test_verify_writes_document(capsys, tmp_path):
         ["verify", "--suite", "continuity", "--sample", "-3", "--jobs", "1"],
         ["witness", "--kind", "cover", "--n", "-1", "--pb", "[]"],
         ["verify", "--suite", "census", "--bound", "-1", "--jobs", "1"],
+        # flags the command does not read are refused too
+        ["member", "--d", '{"dommiss":0}', "--n", "-1", "--pb", "[]"],
+        ["witness", "--kind", "basis", "--f", '{"drops":[]}', "--pb", "[]", "--r", "-5"],
     ],
-    ids=["n", "r", "sample", "cover-n", "bound"],
+    ids=["n", "r", "sample", "cover-n", "bound", "unread-n", "unread-r"],
 )
 def test_negative_integer_flags_refused(capsys, argv):
     code, out, err = run(capsys, *argv)

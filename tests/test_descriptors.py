@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import deadline, descriptors, pbijs, waning_fns
+from strategies import (
+    assert_rebuilds,
+    deadline,
+    descriptors,
+    genfns,
+    pbijs,
+    waning_fns,
+)
 from waning import (
     CONST_OMEGA,
     CONST_ZERO,
@@ -486,6 +493,43 @@ def test_witnesses_refuse_points_that_are_not_naturals():
             much_wan_witness(GenFn(prefix=(2,)), EMPTY, r)
         with pytest.raises(DomainError, match="not a natural"):
             continuity_p(WaningFn(drops=(2,)), pb((0, 0)), pb((0, 1)), r)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: UBasic(CONST_ZERO, 0, [1, True]),
+        lambda: Wany(0, [[0, False]]),
+        lambda: cover_witness(0, EMPTY, [1, 1.0], [], True),
+        lambda: basis_refinement(CONST_ZERO, 0, [True], EMPTY),
+        lambda: basis_refinement(CONST_ZERO, 0, [1, True], EMPTY),
+        lambda: tfprime_refinement(GenFn(), 0, [1, 1.0], EMPTY),
+    ],
+    ids=["ubasic", "wany", "cover", "basis", "basis-merged", "tfprime-merged"],
+)
+def test_points_checked_before_a_set_merges_them(call):
+    # True and 1.0 equal 1, so a set built first would hide them
+    with pytest.raises(DomainError, match="not a natural"):
+        call()
+
+
+@given(genfns(), pbijs(max_point=5, max_size=3), st.integers(0, 3))
+def test_much_wan_witness_passes_the_checked_constructors(f, g, extra):
+    assert_rebuilds(much_wan_witness(f, g, valid_r_min(closure(f), g) + extra))
+
+
+@given(
+    genfns(),
+    st.integers(0, 2),
+    st.frozensets(st.integers(0, 6), max_size=3),
+    pbijs(max_point=5, max_size=3),
+)
+def test_tfprime_refinement_passes_the_checked_constructors(f, n, avoid, g):
+    try:
+        d = tfprime_refinement(f, n, avoid, g)
+    except NotMember:
+        return
+    assert_rebuilds(d)
 
 
 @given(waning_fns(), st.integers(0, 9), st.integers(0, 9))

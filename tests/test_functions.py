@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from hypothesis import settings
 
-from strategies import closure_closed_form, deadline, genfns, pointwise_leq, waning_fns
+from strategies import (
+    assert_rebuilds,
+    closure_closed_form,
+    deadline,
+    genfns,
+    pointwise_leq,
+    waning_fns,
+)
 from waning import (
     CONST_OMEGA,
     CONST_ZERO,
@@ -457,3 +464,23 @@ def test_closure_oracle_edges():
         assert closure(f) == stepping_closure(f) == want
     with pytest.raises(BoundTooLarge):
         closure(GenFn(tail=SIZE_LIMIT + 1))
+
+
+EXTNATS = st.integers(0, 6) | st.just(OMEGA)
+
+
+@given(st.builds(GenFn, st.lists(EXTNATS, max_size=5).map(tuple), EXTNATS, EXTNATS))
+def test_closure_passes_the_checked_constructor(f):
+    assert_rebuilds(closure(f))
+
+
+@given(waning_fns(), waning_fns())
+def test_join_and_meet_pass_the_checked_constructor(f, g):
+    assert_rebuilds(join(f, g))
+    assert_rebuilds(meet(f, g))
+
+
+def test_enumerate_below_passes_the_checked_constructor():
+    for c in range(7):
+        for w in enumerate_below(staircase(c)):
+            assert_rebuilds(w)
