@@ -15,16 +15,17 @@ descriptor reads only an element's image and its pairs with source below the
 descriptor's reach, so a check generates the classes of its scope under
 (pairs below R, image), R covering both reaches, and tests one
 representative per class; it lists and tests every element of a class only
-when the representative fails.  The continuity check's factor filters and
-the d-map check read the sorted universe's prefix runs instead: they use
-every element they keep, and universe elements keep the lookups that a
-generated element would build again.  The continuity check groups left
-factors by their pairs with source below r and their image, and right
-factors by their values on the left classes' low targets and the sources
-they send below r outside im(a * b); it tests one product per class pair,
-and forms and tests every product of a class pair only when that product
-fails, reporting a failing one once per factor pair.  The d-map check
-collapses each element once and looks up the image of each product.
+when the representative fails.  The continuity check's factors come from
+one reader of the sorted universe, ``_member_classes``: the check uses every
+element it keeps, and universe elements keep the lookups that a generated
+element would build again.  The check groups left factors once, by their
+pairs with source below max(p, r) and their image, and right factors by
+their values on the left classes' low targets and the sources they send
+below r outside im(a * b); it tests one product per class pair, and forms
+and tests every product of a class pair only when that product fails,
+reporting a failing one once per factor pair.  The d-map check filters the
+universe by ``extends``, collapses each element once and looks up each
+product's image.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .functions import (
     CONST_OMEGA,
     CONST_ZERO,
     OMEGA,
+    SIZE_LIMIT,
     GenFn,
     WaningFn,
     check_nat,
@@ -119,22 +121,6 @@ def _reach(d: de.SetDescriptor, bound: int) -> tuple[tuple, int, int]:
     if isinstance(d, de.Wany):
         return (), 0, d.n
     return (), 0, bound
-
-
-def _candidates(d: de.SetDescriptor, bound: int) -> tuple[PBij, ...]:
-    """The universe elements in the scope of ``d``, in universe order.
-
-    In the sorted universe the scope (P, r) is the element whose pairs are
-    exactly P, then the run of elements that start with P and continue with
-    a source of at least r.
-    """
-    us = enumerate_universe(bound)
-    below, r, _ = _reach(d, bound)
-    at = bisect_left(us, below, key=_PAIRS)
-    exact = us[at : at + 1] if at < len(us) and us[at].pairs == below else ()
-    start = bisect_left(us, below + ((r,),), key=_PAIRS)
-    stop = bisect_left(us, below + ((bound,),), key=_PAIRS)
-    return exact + us[start:stop]
 
 
 def _scope_classes(
@@ -222,23 +208,6 @@ def _report(name: str, cases: int, found, started: float) -> CheckReport:
     )
 
 
-def _member_classes(ds, scan: Iterable[PBij], bound: int) -> list[list[PBij]]:
-    """``scan`` grouped by (pairs with source below R, image), R the largest
-    reach of ``ds``.  Membership in each d of ``ds`` is constant on a class:
-    it reads the image and the pairs below its own reach <= R, which the
-    pairs below R fix."""
-    reach = max(_reach(d, bound)[2] for d in ds)
-    return _classes(
-        scan, lambda h: (h.pairs[: bisect_left(h.pairs, (reach,))], h.image)
-    )
-
-
-def _members(d: de.SetDescriptor, bound: int) -> list[PBij]:
-    """The members of ``d`` in the universe, one tested per member class."""
-    classes = _member_classes((d,), _candidates(d, bound), bound)
-    return [h for hs in classes if de.member(d, hs[0]) for h in hs]
-
-
 def _failing(d1, d2, scopes, bound: int, fails) -> list[PBij]:
     """The elements h of the ``scopes`` (``_reach`` triples) with
     ``fails(h in d1, h in d2)``, in universe order.  The scopes are disjoint.
@@ -315,6 +284,33 @@ def _classes(items: Iterable[PBij], key) -> list[list[PBij]]:
     return list(groups.values())
 
 
+def _member_classes(
+    d: de.SetDescriptor, bound: int, reach: int = 0
+) -> list[list[PBij]]:
+    """The members of ``d`` in the universe, in classes by (pairs with
+    source below R, image), R = max(``reach``, d's own reach), each class in
+    universe order.  No other function slices the sorted universe.
+
+    In the sorted universe d's scope (P, r) is the element whose pairs are
+    exactly P, then the run of elements that start with P and continue with
+    a source of at least r.  Membership in d is constant on a class, as it
+    reads the image and the pairs below d's own reach, which the pairs below
+    R fix; so only each class's first element is tested.
+    """
+    us = enumerate_universe(bound)
+    below, r, own = _reach(d, bound)
+    at = bisect_left(us, below, key=_PAIRS)
+    exact = us[at : at + 1] if at < len(us) and us[at].pairs == below else ()
+    start = bisect_left(us, below + ((r,),), key=_PAIRS)
+    stop = bisect_left(us, below + ((bound,),), key=_PAIRS)
+    top = max(reach, own)
+    classes = _classes(
+        itertools.chain(exact, us[start:stop]),
+        lambda h: (h.pairs[: bisect_left(h.pairs, (top,))], h.image),
+    )
+    return [hs for hs in classes if de.member(d, hs[0])]
+
+
 def product_containment_check(
     f: WaningFn, a: PBij, b: PBij, bound: int
 ) -> CheckReport:
@@ -336,10 +332,12 @@ def product_containment_check(
 
     So a left factor d matters only through (its pairs below r, im(d)), and
     a right factor e only through (e at every low target of the left
-    classes, S(e)).  A class pair whose tested product fails has each of
-    its products formed and tested, and a failing one is reported as many
-    times as the factor pairs that form it; ``cases`` still counts every
-    factor pair.
+    classes, S(e)).  The left classes are the member classes of W(f, a, p)
+    by (pairs below max(p, r), image), which refine the first key, so the
+    left factors are grouped once.  A class pair whose tested product fails
+    has each of its products formed and tested, and a failing one is
+    reported as many times as the factor pairs that form it; ``cases``
+    still counts every factor pair.
     """
     started = time.perf_counter()
     c = a * b
@@ -348,14 +346,12 @@ def product_containment_check(
     wa = de.WNbhd(f, a, p)
     wb = de.WNbhd(f, b, p)
     wc = de.WNbhd(f, c, r)
-    left, right = _members(wa, bound), _members(wb, bound)
     label = dumps(
         {"f": fn_to_obj(f), "a": pb_to_obj(a), "b": pb_to_obj(b), "p": p, "r": r}
     )
-    left_classes = _member_classes((wc,), left, bound)
-    shown = sorted(
-        {y for ds in left_classes for x, y in ds[0].pairs if x < r}
-    )
+    left_classes = _member_classes(wa, bound, r)
+    right = [e for es in _member_classes(wb, bound) for e in es]
+    shown = sorted({y for ds in left_classes for x, y in ds[0].pairs if x < r})
     right_classes = _classes(
         right,
         lambda e: (
@@ -373,7 +369,8 @@ def product_containment_check(
         h = PBij._from_sorted(pairs)
         if not de.member(wc, h):
             found += [(label, h)] * times
-    return _report("product-containment", len(left) * len(right), found, started)
+    cases = sum(map(len, left_classes)) * len(right)
+    return _report("product-containment", cases, found, started)
 
 
 # ---------------------------------------------------------------------------
@@ -434,19 +431,26 @@ def _rand_genfn(rng: random.Random) -> GenFn:
 # ---------------------------------------------------------------------------
 
 
-def _basis_cases(bound: int, seed: int, sample: int) -> list:
-    rng = random.Random(seed)
-    fs = waning_sample()
+def _draw_basic(rng: random.Random, bound: int, draw_f):
+    """(f, g, n, avoid) with g in UBasic(f, n, avoid): f from ``draw_f(rng)``,
+    g from the universe, drawn in that order until g lies in the set."""
     us = enumerate_universe(bound)
-    cases = []
-    while len(cases) < sample:
-        f = rng.choice(fs)
+    while True:
+        f = draw_f(rng)
         g = rng.choice(us)
         n = rng.randint(0, 3)
         avoid = _rand_subset(rng, range(bound + 1), 3)
-        if not de.member(de.UBasic(f, n, avoid), g):
-            continue
-        cases.append((f, g, n, avoid, rng.randint(0, 3), rng.randint(0, 3)))
+        if de.member(de.UBasic(f, n, avoid), g):
+            return f, g, n, avoid
+
+
+def _basis_cases(bound: int, seed: int, sample: int) -> list:
+    rng = random.Random(seed)
+    fs = waning_sample()
+    cases = []
+    for _ in range(sample):
+        basic = _draw_basic(rng, bound, lambda rng: rng.choice(fs))
+        cases.append(basic + (rng.randint(0, 3), rng.randint(0, 3)))
     return cases
 
 
@@ -480,16 +484,9 @@ def _much_wan_cases(bound: int, seed: int, sample: int) -> list:
         g = rng.choice(us)
         r = de.valid_r_min(closure(f), g) + rng.randint(0, 2)
         cases.append(("equal", f, g, r, None, None))
-    refinements = 0
-    while refinements < sample:
-        f = _rand_genfn(rng)
-        g = rng.choice(us)
-        n = rng.randint(0, 3)
-        avoid = _rand_subset(rng, range(bound + 1), 3)
-        if not de.member(de.UBasic(f, n, avoid), g):
-            continue
+    for _ in range(sample):
+        f, g, n, avoid = _draw_basic(rng, bound, _rand_genfn)
         cases.append(("refine", f, g, None, n, avoid))
-        refinements += 1
     return cases
 
 
@@ -625,8 +622,7 @@ def _dmap_cases(bound: int, seed: int, sample: int) -> list:
 def _dmap_eval(bound: int, case) -> list[tuple[str, PBij]]:
     n = case
     g = PBij.identity(n)
-    # the candidates of FixBelow(id_n, n) are exactly the elements extending g
-    ups = _candidates(de.FixBelow(g, n), bound)
+    ups = [h for h in enumerate_universe(bound) if h.extends(g)]
     label = dumps({"idempotent": pb_to_obj(g)})
     # h * k extends the idempotent g whenever h and k do, so every product
     # is in ``ups`` and its image is a lookup
@@ -831,6 +827,8 @@ def run_suite(
     bound = default_bound if bound is None else bound
     sample = default_sample if sample is None else sample
     check_nat(bound, sample, jobs)
+    if sample > SIZE_LIMIT:
+        raise BoundTooLarge(f"sample {sample} exceeds the maximum {SIZE_LIMIT}")
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
     started = time.perf_counter()

@@ -82,9 +82,6 @@ class PBij:
         """Keep exactly the pairs whose source is below ``r``."""
         return PBij._from_sorted(tuple(p for p in self.pairs if p[0] < r))
 
-    def is_idempotent(self) -> bool:
-        return all(x == y for x, y in self.pairs)
-
     def extends(self, other: "PBij") -> bool:
         """True when every pair of ``other`` is a pair of self."""
         return all(self._map.get(x) == y for x, y in other.pairs)

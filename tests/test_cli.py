@@ -434,6 +434,13 @@ def test_negative_integer_flags_refused(capsys, argv):
     assert code == 1 and out == "" and err.startswith("error:")
 
 
+def test_verify_refuses_a_sample_above_the_size_limit(capsys):
+    code, out, err = run(
+        capsys, "verify", "--suite", "chains", "--sample", str(waning.SIZE_LIMIT + 1), "--jobs", "1"
+    )
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_embed_rejects_labels_that_are_not_strings(capsys, tmp_path):
     poset = tmp_path / "poset.json"
     poset.write_text('{"elements":[1.5,true],"leq":[[1.5,1.5],[true,true]]}')

@@ -16,6 +16,7 @@ from waning import (
     DomainError,
     FixBelow,
     InvalidDescriptor,
+    SIZE_LIMIT,
     PBij,
     UBasic,
     UnknownSuite,
@@ -94,19 +95,28 @@ def test_universe_closed_under_operations():
             assert a * b in us
 
 
-def _assert_candidates_cover(d, bound):
-    got = harness._candidates(d, bound)
+def _assert_member_classes_exact(d, bound, reach):
+    """``_member_classes`` against a scan of I_B: its classes hold exactly
+    the members of d, each class in universe order, and each is one whole
+    class of (pairs below R, image), R = max(reach, d's own reach)."""
+    classes = harness._member_classes(d, bound, reach)
     us = enumerate_universe(bound)
-    position = {h: i for i, h in enumerate(us)}
-    indices = [position[h] for h in got]
-    assert indices == sorted(set(indices))
-    assert {h for h in us if member(d, h)} <= set(got)
+    got = [h for hs in classes for h in hs]
+    assert len(got) == len(set(got))
+    assert set(got) == {h for h in us if member(d, h)}
+    top = max(reach, harness._reach(d, bound)[2])
+    keys = []
+    for hs in classes:
+        assert hs == sorted(hs, key=harness._PAIRS)
+        (key,) = {(_below(h.pairs, top), h.image) for h in hs}
+        keys.append(key)
+    assert len(set(keys)) == len(keys)
 
 
-@given(descriptors(), st.integers(0, 4))
+@given(descriptors(), st.integers(0, 4), st.integers(0, 6))
 @settings(max_examples=80, deadline=None)
-def test_candidates_cover_random_descriptors(d, bound):
-    _assert_candidates_cover(d, bound)
+def test_member_classes_match_random_descriptors(d, bound, reach):
+    _assert_member_classes_exact(d, bound, reach)
 
 
 @given(
@@ -114,21 +124,22 @@ def test_candidates_cover_random_descriptors(d, bound):
     pbijs(max_point=6, max_size=3),
     st.sampled_from(["zero", "min", "bound", "past"]),
     st.integers(0, 4),
+    st.integers(0, 6),
 )
 @settings(max_examples=150, deadline=None)
-def test_candidates_cover_prefix_sets(f, g, radius, bound):
+def test_member_classes_match_prefix_sets(f, g, radius, bound, reach):
     r = {
         "zero": 0,
         "min": valid_r_min(f, g),
         "bound": max(bound, valid_r_min(f, g)),
         "past": max(bound, valid_r_min(f, g)) + 2,
     }[radius]
-    _assert_candidates_cover(FixBelow(g, r), bound)
+    _assert_member_classes_exact(FixBelow(g, r), bound, reach)
     try:
         w = WNbhd(f, g, r)
     except InvalidDescriptor:
         return
-    _assert_candidates_cover(w, bound)
+    _assert_member_classes_exact(w, bound, reach)
 
 
 @given(descriptors(), descriptors(), st.integers(0, 4))
@@ -209,7 +220,12 @@ def test_scans_refuse_bounds_outside_the_universe(check, d):
 @given(descriptors())
 @settings(max_examples=200, deadline=None)
 def test_membership_is_constant_on_reach_classes(d):
-    for hs in harness._member_classes((d,), enumerate_universe(4), 4):
+    reach = harness._reach(d, 4)[2]
+
+    def key(h):
+        return _below(h.pairs, reach), h.image
+
+    for hs in harness._classes(enumerate_universe(4), key):
         assert len({member(d, h) for h in hs}) == 1
 
 
@@ -477,6 +493,16 @@ def test_run_suite_caps_workers(monkeypatch):
     assert capped.cases == serial.cases
     assert capped.counterexamples == serial.counterexamples
     assert few.ok and few.cases == 3
+
+
+def test_run_suite_refuses_samples_above_the_size_limit(monkeypatch):
+    def build(bound, seed, sample):
+        raise AssertionError("cases were built")
+
+    chains = harness._SUITES["chains"]
+    monkeypatch.setitem(harness._SUITES, "chains", (build,) + chains[1:])
+    with pytest.raises(BoundTooLarge):
+        run_suite("chains", sample=SIZE_LIMIT + 1)
 
 
 def test_run_suite_rejects_bad_jobs():

@@ -39,12 +39,6 @@ def test_restrict_examples():
     assert g.restrict(8) == g
 
 
-def test_is_idempotent():
-    assert pb((0, 0), (2, 2)).is_idempotent()
-    assert not pb((0, 1)).is_idempotent()
-    assert EMPTY.is_idempotent()
-
-
 def test_validation_rejects_non_bijections():
     with pytest.raises(DomainError):
         PBij([(0, 1), (0, 2)])
@@ -145,8 +139,8 @@ def test_collapse_requires_extension():
 def test_partial_identities(a):
     left = a * a.inverse()
     right = a.inverse() * a
-    assert left.is_idempotent() and left.domain == a.domain
-    assert right.is_idempotent() and right.domain == a.image
+    assert all(x == y for x, y in left.pairs) and left.domain == a.domain
+    assert all(x == y for x, y in right.pairs) and right.domain == a.image
     assert a * a.inverse() * a == a
 
 
