@@ -37,7 +37,6 @@ from .errors import (
     InvalidR,
     NoWitness,
     NotMember,
-    NotWaning,
     OmegaEntries,
     PreconditionError,
     UnknownSuite,

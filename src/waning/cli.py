@@ -5,11 +5,11 @@ eval), the lattice (compare, join, chain, below, embed, hasse), membership
 and refinement witnesses (member, subset, witness), and the verification
 suites (verify).  Values cross the boundary as JSON; "omega" is the single
 non-numeric token.  Each value is decoded once, by a ``serialize`` decoder.
-Usage errors (text that is not JSON, a payload of the wrong shape, a
-``--poset`` or ``--out`` file that cannot be opened) exit 2, domain errors
-(a negative ``--n``, ``--r`` or ``--sample`` among them) exit 1, and checks
-that find counterexamples exit 3.  A reader that closes stdout early, as
-``| head`` does, ends the run quietly with status 141, as SIGPIPE would.
+Usage errors (text that is not JSON or too deep to decode, a payload of the
+wrong shape, a ``--poset`` or ``--out`` file that cannot be opened) exit 2,
+domain errors (a negative ``--n``, ``--r``, ``--sample`` or ``--jobs`` among
+them) exit 1, and checks that find counterexamples exit 3.  A reader that
+closes stdout early, as ``| head`` does, ends the run quietly with SIGPIPE's 141.
 The parser is built once per process; each ``main`` call parses into a
 fresh namespace.
 """
@@ -46,14 +46,17 @@ class _UsageError(Exception):
 def _decode(text: str, flag: str, parse):
     """``parse`` applied to the JSON in ``text``.
 
-    Text that is not JSON, or a payload whose shape ``parse`` cannot index
-    or unpack, is a usage error; a value that ``parse`` refuses stays a
-    WaningError.
+    Text that is not JSON or nests too deep for ``json`` to decode, or a
+    payload whose shape ``parse`` cannot index or unpack, is a usage error;
+    a value that ``parse`` refuses stays a WaningError.
     """
     try:
         return parse(json.loads(text))
     except json.JSONDecodeError as exc:
         raise _UsageError(f"flag {flag} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # raised by json's decoder; descriptor_from_obj stops well before
+        raise _UsageError(f"flag {flag} nests too deep to decode") from exc
     except (TypeError, KeyError, IndexError, ValueError) as exc:
         raise _UsageError(f"flag {flag} is malformed: {exc!r}") from exc
 
@@ -146,16 +149,7 @@ def _cmd_hasse(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    if args.d is not None:
-        d = _decode(args.d, "--d", se.descriptor_from_obj)
-    elif args.Ys is not None:
-        d = _decode(
-            args.Ys,
-            "--Ys",
-            lambda ys: se.descriptor_from_obj({"wany": {"n": args.n or 0, "Ys": ys}}),
-        )
-    else:
-        raise _UsageError("member needs --d, or --Ys (with --n) for a wany set")
+    d = _decode(args.d, "--d", se.descriptor_from_obj)
     h = _decode(args.pb, "--pb", se.pb_from_obj)
     print("true" if de.member(d, h) else "false")
     return 0
@@ -166,9 +160,7 @@ def _report_exit(report, out: Optional[str]) -> int:
     for inputs, witness in report.counterexamples:
         print(f"counterexample {se.dumps(se.pb_to_obj(witness))} {inputs}")
     if out:
-        with _open(out, "--out", "w") as fh:
-            json.dump(report.to_obj(), fh, indent=2)
-            fh.write("\n")
+        _emit(json.dumps(report.to_obj(), indent=2), out)
     return 0 if report.ok else 3
 
 
@@ -226,8 +218,6 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.jobs < 0:
-        raise _UsageError(f"--jobs must be non-negative, got {args.jobs}")
     report = run_suite(
         args.suite,
         bound=args.bound,
@@ -279,10 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd(
         "member",
         _cmd_member,
-        d={"help": "descriptor JSON"},
+        d={"required": True, "help": "descriptor JSON"},
         pb={"required": True, "help": "partial bijection JSON"},
-        n={"type": int},
-        Ys={"help": "family-of-sets JSON for a wany set"},
     )
     cmd(
         "subset",

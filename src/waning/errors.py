@@ -13,17 +13,6 @@ class PreconditionError(WaningError):
     """A documented precondition of the operation does not hold."""
 
 
-class NotWaning(WaningError):
-    """A pointwise combination failed the waning predicate.
-
-    Carries the offending value sequence so the violation can be reported.
-    """
-
-    def __init__(self, values):
-        self.values = tuple(values)
-        super().__init__(f"pointwise result is not waning: {self.values}")
-
-
 class OmegaEntries(WaningError):
     """Enumeration below a function with omega entries would be infinite."""
 

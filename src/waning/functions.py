@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from operator import gt
 from typing import Iterable, Union
 
-from .errors import BoundTooLarge, DomainError, NotWaning, OmegaEntries
+from .errors import BoundTooLarge, DomainError, OmegaEntries
 
 OMEGA = math.inf
 ExtNat = Union[int, float]
@@ -116,18 +116,6 @@ class WaningFn:
             raise DomainError(f"drops must stay positive: {drops}")
         if not all(map(gt, drops, drops[1:])):
             raise DomainError(f"drops not strictly decreasing: {drops}")
-
-    @classmethod
-    def from_values(cls, values: Iterable[ExtNat]) -> "WaningFn":
-        """Canonical form from leading values (0 from there on).
-
-        Raises DomainError for a value that is not a natural or OMEGA and
-        NotWaning when the values do not describe a waning function.
-        """
-        f = GenFn(prefix=tuple(values))
-        if not is_waning(f):
-            raise NotWaning(f.prefix)
-        return closure(f)
 
     @classmethod
     def _canonical(cls, omega_prefix: int, drops: tuple[int, ...]) -> "WaningFn":
@@ -319,11 +307,12 @@ def enumerate_below(f: WaningFn) -> list[WaningFn]:
         if i >= f.support_end:
             return
         ceiling = f(i) if not drops else min(f(i), drops[-1] - 1)
-        for v in range(ceiling, 0, -1):
+        # with values ascending, the preorder lists each run before its
+        # extensions and after runs smaller where they differ: sort_key order
+        for v in range(1, ceiling + 1):
             grow(drops + [v], i + 1)
 
     grow([], 0)
-    results.sort(key=WaningFn.sort_key)
     return results
 
 

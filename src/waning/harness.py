@@ -585,7 +585,8 @@ def _remark_eval(bound: int, case) -> list[tuple[str, PBij]]:
 
 
 def _dual_cases(bound: int, seed: int, sample: int) -> list:
-    return list(waning_sample()[:sample])
+    fs = waning_sample()
+    return [(f, fs) for f in fs[:sample]]
 
 
 def _cross_family_failures(f: WaningFn, bound: int) -> list[tuple[str, PBij]]:
@@ -605,9 +606,9 @@ def _cross_family_failures(f: WaningFn, bound: int) -> list[tuple[str, PBij]]:
 def _dual_eval(bound: int, case) -> list[tuple[str, PBij]]:
     """Across the two families only the top is comparable: off the top the
     witnesses separate them, and ``compare`` agrees on the whole sample."""
-    f = case
+    f, fs = case
     found = [] if f == CONST_ZERO else _cross_family_failures(f, bound)
-    for g in waning_sample():
+    for g in fs:
         order = compare(PolishTopology(f), PolishTopology(g, dual=True))
         if (order == Comparison.INCOMPARABLE) != (CONST_ZERO not in (f, g)):
             label = dumps({"f": fn_to_obj(f), "g": fn_to_obj(g)})

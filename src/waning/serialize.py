@@ -9,6 +9,8 @@ poset labels JSON strings.
 Waning functions are ``{"const":"omega"}`` or ``{"omega_prefix":k,"drops":[...]}``;
 eventually-constant functions are ``{"prefix":[...],"tail":v,"omega":v}``.
 Descriptors are tagged objects, topologies ``{"direct":...}``/``{"dual":...}``.
+A descriptor nesting ``dual`` and ``and`` more than MAX_NESTING deep has the
+wrong shape, as membership and the checks recurse at each level: ValueError.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .descriptors import (
 from .errors import DomainError
 from .functions import OMEGA, ExtNat, GenFn, WaningFn, check_nat, is_omega, nat_set
 from .pbij import PBij
+
+MAX_NESTING = 100
 
 
 def value_to_obj(v: ExtNat) -> Any:
@@ -140,7 +144,9 @@ def descriptor_to_obj(d: SetDescriptor) -> dict:
     raise DomainError(f"not a descriptor: {d!r}")
 
 
-def descriptor_from_obj(obj: Any) -> SetDescriptor:
+def descriptor_from_obj(obj: Any, depth: int = 0) -> SetDescriptor:
+    if depth > MAX_NESTING:
+        raise ValueError(f"descriptor nests deeper than {MAX_NESTING} levels")
     if not isinstance(obj, dict) or len(obj) != 1:
         raise DomainError(f"expected a single-tag descriptor object, got {obj!r}")
     tag, body = next(iter(obj.items()))
@@ -164,9 +170,9 @@ def descriptor_from_obj(obj: Any) -> SetDescriptor:
         _check_keys(body, "n", "Ys")
         return Wany(body["n"], (nats_from_obj(ys) for ys in body["Ys"]))
     if tag == "dual":
-        return Dual(descriptor_from_obj(body))
+        return Dual(descriptor_from_obj(body, depth + 1))
     if tag == "and":
-        return Intersection(descriptor_from_obj(p) for p in body)
+        return Intersection(descriptor_from_obj(p, depth + 1) for p in body)
     if tag == "fix":
         _check_keys(body, "g", "r")
         return FixBelow(pb_from_obj(body["g"]), body["r"])

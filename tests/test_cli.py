@@ -82,10 +82,15 @@ def test_member_descriptor(capsys):
 
 
 def test_member_wany_flags(capsys):
-    code, out, _ = run(
-        capsys, "member", "--n", "1", "--Ys", "[[0]]", "--pb", "[[2,3]]"
-    )
+    d = '{"wany":{"n":1,"Ys":[[0]]}}'
+    code, out, _ = run(capsys, "member", "--d", d, "--pb", "[[2,3]]")
     assert code == 0 and out.strip() == "true"
+
+
+def test_member_needs_a_descriptor(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["member", "--pb", "[]"])
+    assert exc.value.code == 2 and "--d" in capsys.readouterr().err
 
 
 def test_subset_counterexample_exit(capsys, tmp_path):
@@ -239,7 +244,7 @@ def test_sets_of_naturals_rejected_not_truncated(capsys):
     for argv in (
         basis + ["--X", "[2.7]"],
         cover + ["--m", "[0.5]"],
-        ["member", "--Ys", "[[2.9]]", "--pb", "[[0,0]]"],
+        ["member", "--d", '{"wany":{"n":0,"Ys":[[2.9]]}}', "--pb", "[[0,0]]"],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1 and err.startswith("error:")
@@ -293,6 +298,47 @@ def test_malformed_payload_is_usage_error(capsys):
     assert code == 2
 
 
+def nested(depth, opening, leaf, closing):
+    return opening * depth + leaf + closing * depth
+
+
+DOMMISS = '{"dommiss":0}'
+
+
+def test_deep_json_is_a_usage_error(capsys):
+    # json's decoder runs out of stack on these before Python 3.13, and the
+    # serialize decoders refuse them after
+    for argv in (
+        ["member", "--d", nested(5000, '{"dual":', DOMMISS, "}"), "--pb", "[]"],
+        ["member", "--d", DOMMISS, "--pb", nested(5000, "[", "", "]")],
+        ["subset", "--d1", nested(5000, '{"and":[', DOMMISS, "]}"), "--d2", DOMMISS],
+        ["subset", "--d1", nested(5000, '{"dual":', DOMMISS, "}"), "--d2", DOMMISS],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("usage error:")
+
+
+@pytest.mark.parametrize(
+    "opening, closing, depths",
+    [('{"dual":', "}", range(1, 1101)), ('{"and":[', "]}", range(1, 401))],
+    ids=["dual", "and"],
+)
+def test_every_nesting_depth_runs_or_is_refused(capsys, opening, closing, depths):
+    """Up to MAX_NESTING levels the commands run to the end; past it the
+    flag is a usage error, and no depth ends in a RecursionError."""
+    everything = '{"and":[]}'
+    for depth in depths:
+        d = nested(depth, opening, DOMMISS, closing)
+        for argv in (
+            ["member", "--d", d, "--pb", "[[0,0]]"],
+            ["subset", "--d1", d, "--d2", everything, "--bound", "2"],
+        ):
+            code, _, err = run(capsys, *argv)
+            accepted = depth <= waning.serialize.MAX_NESTING
+            assert code == (0 if accepted else 2), (depth, argv[0], err)
+            assert accepted or "nests deeper" in err or "too deep to decode" in err
+
+
 def test_member_rejects_invalid_neighbourhood(capsys):
     d = '{"W":{"f":{"drops":[2,1]},"g":[[5,5]],"r":0}}'
     code, _, err = run(capsys, "member", "--d", d, "--pb", "[]")
@@ -331,7 +377,7 @@ def test_verify_jobs_flag(capsys, monkeypatch):
     import waning.cli as cli
 
     code, _, err = run(capsys, "verify", "--suite", "census", "--jobs", "-1")
-    assert code == 2 and "--jobs" in err
+    assert code == 1 and err.startswith("error:")
     seen = []
     monkeypatch.setattr(cli, "available_cpus", lambda: 5)
     monkeypatch.setattr(
@@ -424,7 +470,8 @@ def test_verify_writes_document(capsys, tmp_path):
         ["witness", "--kind", "cover", "--n", "-1", "--pb", "[]"],
         ["verify", "--suite", "census", "--bound", "-1", "--jobs", "1"],
         # flags the command does not read are refused too
-        ["member", "--d", '{"dommiss":0}', "--n", "-1", "--pb", "[]"],
+        ["witness", "--kind", "order", "--f", '{"drops":[]}', "--g", '{"drops":[1]}',
+         "--r", "3", "--n", "-1"],
         ["witness", "--kind", "basis", "--f", '{"drops":[]}', "--pb", "[]", "--r", "-5"],
     ],
     ids=["n", "r", "sample", "cover-n", "bound", "unread-n", "unread-r"],
@@ -493,9 +540,7 @@ def test_reused_parser_keeps_nothing_between_calls(capsys):
     calls = [
         ("hasse", "--f", a),
         ("hasse", "--f", b),
-        ("member", "--Ys", "[[1]]", "--n", "1", "--pb", "[[0,0]]"),
         ("member", "--d", '{"immiss":0}', "--pb", "[[1,0]]"),
-        ("member", "--Ys", "[[1]]", "--pb", "[[0,0]]"),
         ("witness", "--kind", "cover", "--n", "2", "--pb", "[[0,0]]", "--m", "[1]"),
         ("witness", "--kind", "cover", "--pb", "[]", "--m", "[1]"),
     ]
@@ -506,7 +551,7 @@ def test_reused_parser_keeps_nothing_between_calls(capsys):
         outputs.append(out)
     # the second hasse call draws B alone, not A and B
     assert "[3]" in outputs[0] and "[3]" not in outputs[1]
-    # the last member call has no --n, so source 0 is not excluded
-    assert outputs[2:5] == ["false\n", "false\n", "true\n"]
-    assert json.loads(outputs[5]) == [[0, 0], [2, 2]]
-    assert json.loads(outputs[6]) == [[0, 0]]
+    assert outputs[2] == "false\n"
+    # the second cover call has no --n, so the first one's 2 does not leak
+    assert json.loads(outputs[3]) == [[0, 0], [2, 2]]
+    assert json.loads(outputs[4]) == [[0, 0]]

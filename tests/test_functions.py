@@ -23,7 +23,6 @@ from waning import (
     BoundTooLarge,
     DomainError,
     GenFn,
-    NotWaning,
     OmegaEntries,
     WaningFn,
     closure,
@@ -169,14 +168,18 @@ def _join_by_index(f, g):
     if g.const_omega:
         return f
     end = max(f.support_end, g.support_end)
-    return WaningFn.from_values([min(f(i), g(i)) for i in range(end)])
+    values = GenFn(prefix=tuple(min(f(i), g(i)) for i in range(end)))
+    assert is_waning(values)
+    return closure(values)
 
 
 def _meet_by_index(f, g):
     if f.const_omega or g.const_omega:
         return CONST_OMEGA
     end = max(f.support_end, g.support_end)
-    return WaningFn.from_values([max(f(i), g(i)) for i in range(end)])
+    values = GenFn(prefix=tuple(max(f(i), g(i)) for i in range(end)))
+    assert is_waning(values)
+    return closure(values)
 
 
 @given(waning_fns(), waning_fns())
@@ -337,13 +340,9 @@ def test_extnat_algebra(n):
     assert pickle.loads(pickle.dumps(OMEGA)) == OMEGA
 
 
-def test_from_values_rejects_bad_shapes():
-    with pytest.raises(NotWaning):
-        WaningFn.from_values([2, 2])
-    with pytest.raises(NotWaning):
-        WaningFn.from_values([0, 3])
-    with pytest.raises(NotWaning):
-        WaningFn.from_values([3, OMEGA])
+def test_is_waning_rejects_bad_shapes():
+    for values in ([2, 2], [0, 3], [3, OMEGA]):
+        assert not is_waning(GenFn(prefix=tuple(values)))
 
 
 def stepping_call(f, i):
@@ -414,12 +413,12 @@ def _omega_run_then_drops_then_zeros(values):
 
 @given(st.lists(extnats, max_size=7))
 @settings(max_examples=300)
-def test_from_values_agrees_with_its_values(values):
-    if not _omega_run_then_drops_then_zeros(values):
-        with pytest.raises(NotWaning):
-            WaningFn.from_values(values)
+def test_closure_of_waning_values_agrees_with_them(values):
+    prefix = GenFn(prefix=tuple(values))
+    assert is_waning(prefix) == _omega_run_then_drops_then_zeros(values)
+    if not is_waning(prefix):
         return
-    f = WaningFn.from_values(values)
+    f = closure(prefix)
     assert [f(i) for i in range(len(values) + 2)] == values + [0, 0]
     assert f(OMEGA) == 0
 
@@ -430,10 +429,10 @@ def test_from_values_agrees_with_its_values(values):
     st.sampled_from([-1, 2.5, True, None, "omega"]),
 )
 @example([1], 1, "omega")
-def test_from_values_refuses_a_non_natural_entry(values, at, bad):
+def test_genfn_refuses_a_non_natural_entry(values, at, bad):
     values.insert(at, bad)
     with pytest.raises(DomainError, match="natural or OMEGA"):
-        WaningFn.from_values(values)
+        GenFn(prefix=tuple(values))
 
 
 @given(st.lists(extnats, max_size=6), extnats, extnats)

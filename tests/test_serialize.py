@@ -21,6 +21,7 @@ from waning import (
     WNbhd,
 )
 from waning.serialize import (
+    MAX_NESTING,
     descriptor_from_obj,
     descriptor_to_obj,
     dumps,
@@ -88,6 +89,18 @@ def test_descriptor_round_trip_all_tags():
     for d in descriptors:
         obj = descriptor_to_obj(d)
         assert descriptor_from_obj(json.loads(dumps(obj))) == d
+
+
+@pytest.mark.parametrize(
+    "tag, wrap", [("dual", lambda d: d), ("and", lambda d: [{"immiss": 1}, d])]
+)
+def test_descriptor_nesting_is_capped(tag, wrap):
+    obj = {"dommiss": 0}
+    for _ in range(MAX_NESTING):
+        obj = {tag: wrap(obj)}
+    assert descriptor_to_obj(descriptor_from_obj(obj)) == obj
+    with pytest.raises(ValueError, match="nests deeper"):
+        descriptor_from_obj({tag: wrap(obj)})
 
 
 def test_topology_round_trip():
