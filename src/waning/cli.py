@@ -314,8 +314,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         # a negative --n or --r is refused even where the command ignores it
-        given = (vars(args).get(flag) for flag in ("n", "r"))
-        check_nat(*(v for v in given if v is not None))
+        for flag in ("n", "r"):
+            value = vars(args).get(flag)
+            if value is not None:
+                check_nat(value, name=f"--{flag}")
         code = args.handler(args)
         sys.stdout.flush()
         return code

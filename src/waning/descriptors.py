@@ -269,17 +269,23 @@ def much_wan_witness(f: GenFn, g: PBij, r: int) -> SetDescriptor:
     """
     check_nat(r)
     fp = closure(f)
-    if not _wnbhd_valid(fp, g, r):
-        raise PreconditionError(f"radius {r} is not valid for the closure")
+    # _wnbhd_valid inlined: the witness reuses f'(|g|) and i
     size_value = fp(len(g.pairs))
+    i = bisect_left(g.pairs, (r,))
+    if not (fp(r) <= size_value and fp(i) == size_value):
+        raise PreconditionError(f"radius {r} is not valid for the closure")
     if is_omega(size_value):
         # the mistake budget is unlimited, so only the agreement clause binds
         return FixBelow(g, r)
     if r > SIZE_LIMIT:
         raise BoundTooLarge(f"the witness avoids {r} points, above {SIZE_LIMIT}")
-    i = bisect_left(g.pairs, (r,))
-    j = min(range(i + 1), key=lambda jj: f(jj) - (i - jj))
-    b = fp(i) + i - f(j)
+    # j: the first index in range(i + 1) of the least f(j) + j; past the
+    # prefix f is its tail, so no later index beats the prefix's end
+    costs = [v + k for k, v in enumerate(f.prefix[: i + 1])]
+    if i >= len(f.prefix):
+        costs.append(f.tail + len(f.prefix))
+    j = costs.index(min(costs))
+    b = size_value + i - f(j)
     outside = frozenset(range(r)) - g.image
     hits = sorted(y for _, y in g.pairs[:i])
     picked = frozenset(hits[: i - b])

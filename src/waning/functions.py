@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import gt
+from operator import ge, gt
 from typing import Iterable, Union
 
 from .errors import BoundTooLarge, DomainError, OmegaEntries
@@ -41,12 +41,14 @@ def is_omega(value: ExtNat) -> bool:
     return value == OMEGA
 
 
-def check_nat(*values: int) -> None:
+def check_nat(*values: int, name: str = "") -> None:
     """DomainError unless every value is a natural: a plain non-negative
-    ``int``.  Floats and bools are refused, not truncated."""
+    ``int``.  Floats and bools are refused, not truncated.  The message
+    starts with ``name`` when one is given, so that a caller checking
+    several parameters says which one was refused."""
     for v in values:
         if type(v) is not int or v < 0:
-            raise DomainError(f"{v!r} is not a natural")
+            raise DomainError(f"{name + ' = ' if name else ''}{v!r} is not a natural")
 
 
 def nat_set(points: Iterable[int]) -> frozenset[int]:
@@ -234,12 +236,8 @@ def preceq(f: WaningFn, g: WaningFn) -> bool:
         return False
     # f needs the longer OMEGA run and support, and drops at least g's where
     # both are finite
-    pf, pg = f.omega_prefix, g.omega_prefix
-    return (
-        pf >= pg
-        and f.support_end >= g.support_end
-        and all(a >= b for a, b in zip(f.drops, g.drops[pf - pg :]))
-    )
+    pf, pg, fd, gd = f.omega_prefix, g.omega_prefix, f.drops, g.drops
+    return pf >= pg and pf + len(fd) >= pg + len(gd) and all(map(ge, fd, gd[pf - pg :]))
 
 
 def join(f: WaningFn, g: WaningFn) -> WaningFn:
@@ -256,10 +254,14 @@ def join(f: WaningFn, g: WaningFn) -> WaningFn:
         return g
     if g.const_omega:
         return f
-    start = min(f.omega_prefix, g.omega_prefix)
-    end = min(f.support_end, g.support_end)
+    if f.omega_prefix > g.omega_prefix:
+        f, g = g, f
+    # f has the shorter OMEGA run, so start is f's; g is OMEGA on f's first
+    # ``shift`` drops and then reads its own, and the shorter support ends
+    # the minimum
+    shift = g.omega_prefix - f.omega_prefix
     return WaningFn._canonical(
-        start, tuple(min(f(i), g(i)) for i in range(start, end))
+        f.omega_prefix, f.drops[:shift] + tuple(map(min, f.drops[shift:], g.drops))
     )
 
 
@@ -273,12 +275,15 @@ def meet(f: WaningFn, g: WaningFn) -> WaningFn:
     """
     if f.const_omega or g.const_omega:
         return CONST_OMEGA
-    start = max(f.omega_prefix, g.omega_prefix)
-    end = max(f.support_end, g.support_end)
-    # in [start, end) both inputs are finite and one is positive
-    return WaningFn._canonical(
-        start, tuple(max(f(i), g(i)) for i in range(start, end))
-    )
+    if f.omega_prefix < g.omega_prefix:
+        f, g = g, f
+    # f has the longer OMEGA run, so start is f's; from there both inputs
+    # are finite, one is positive, and the shorter run of drops is 0 past
+    # its end, so the longer run's remaining drops are the maximum
+    a, b = f.drops, g.drops[f.omega_prefix - g.omega_prefix :]
+    if len(a) < len(b):
+        a, b = b, a
+    return WaningFn._canonical(f.omega_prefix, tuple(map(max, a, b)) + a[len(b) :])
 
 
 def enumerate_below(f: WaningFn) -> list[WaningFn]:
@@ -292,9 +297,10 @@ def enumerate_below(f: WaningFn) -> list[WaningFn]:
     if f.const_omega or f.omega_prefix:
         raise OmegaEntries("enumeration below an omega entry is infinite")
     too_many = f"more than {SIZE_LIMIT} functions lie below the argument"
-    # the drops of f are at least those of staircase(support_end), and the
-    # 2 ** support_end functions below that lie below f too
-    if f.support_end >= SIZE_LIMIT.bit_length():
+    top = f.drops
+    # the drops of f are at least those of staircase(len(top)), and the
+    # 2 ** len(top) functions below that lie below f too
+    if len(top) >= SIZE_LIMIT.bit_length():
         raise BoundTooLarge(too_many)
     results: list[WaningFn] = []
 
@@ -304,9 +310,9 @@ def enumerate_below(f: WaningFn) -> list[WaningFn]:
             raise BoundTooLarge(too_many)
         # canonical: each value is drawn below the last and above 0
         results.append(WaningFn._canonical(0, tuple(drops)))
-        if i >= f.support_end:
+        if i >= len(top):
             return
-        ceiling = f(i) if not drops else min(f(i), drops[-1] - 1)
+        ceiling = top[i] if not drops else min(top[i], drops[-1] - 1)
         # with values ascending, the preorder lists each run before its
         # extensions and after runs smaller where they differ: sort_key order
         for v in range(1, ceiling + 1):

@@ -796,17 +796,74 @@ def available_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _eval_chunk(args) -> list[tuple[str, tuple]]:
-    """Counterexamples of every ``workers``-th case from ``index``, rebuilt
-    from the seeded settings, as (label, pairs): a worker's tasks and results
-    are builtins, whatever cases and witnesses pickle to."""
-    name, bound, seed, sample, index, workers = args
-    build, evaluate, _, _ = _SUITES[name]
-    return [
-        (label, h.pairs)
-        for case in build(bound, seed, sample)[index::workers]
-        for label, h in evaluate(bound, case)
-    ]
+def _send_share(write_end: int, evaluate, bound: int, cases: list):
+    """In a forked child: evaluate ``cases`` and write their counterexamples
+    as (label, pairs) builtins, or the exception raised, pickled to
+    ``write_end``; then end the process.  It never returns, so the child
+    cannot run on in its caller's stack."""
+    code = 1
+    try:
+        import pickle
+
+        try:
+            result = [
+                (label, h.pairs) for case in cases for label, h in evaluate(bound, case)
+            ]
+        except BaseException as exc:  # re-raised in the parent
+            result = exc
+        with open(write_end, "wb") as pipe:
+            pickle.dump(result, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _evaluate_forked(evaluate, bound: int, cases: list, workers: int) -> list:
+    """Counterexamples of ``cases`` from ``workers`` processes: this one
+    evaluates ``cases[0::workers]``, and forked child ``i`` evaluates
+    ``cases[i::workers]`` of the list it inherited and sends the result down
+    its own pipe.  A child's exception is raised here; a child that ends
+    without sending its whole result raises ChildProcessError.  Each pipe is read to EOF before its child
+    is reaped, so no result is too large to send; if anything raises, the
+    children still running are killed, and every child is reaped before
+    this returns."""
+    import pickle
+    import signal
+
+    children = {}  # pid -> read end of the child's pipe, until it is reaped
+    try:
+        for share in range(1, workers):
+            read_end, write_end = os.pipe()
+            pipe = open(read_end, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _send_share(write_end, evaluate, bound, cases[share::workers])
+            except BaseException:
+                pipe.close()
+                raise
+            finally:
+                os.close(write_end)
+            children[pid] = pipe
+        found = [c for case in cases[::workers] for c in evaluate(bound, case)]
+        for pid in list(children):
+            with children[pid] as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status:  # a child exits 0 only once its whole result is written
+                code = os.waitstatus_to_exitcode(status)
+                raise ChildProcessError(f"worker {pid} sent no result (exit code {code})")
+            result = pickle.loads(payload)
+            if isinstance(result, BaseException):
+                raise result
+            found += [(label, PBij._from_sorted(pairs)) for label, pairs in result]
+        return found
+    finally:
+        for pid, pipe in children.items():
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 def run_suite(
@@ -819,15 +876,19 @@ def run_suite(
     """Run one named invariant battery and report counterexamples.
 
     Identical (bound, seed, sample) give identical reports apart from the
-    elapsed time, whatever the worker count.  At most ``jobs`` workers are
-    forked, and no more than there are cases or available CPUs.
+    elapsed time, whatever the worker count.  The cases are shared among
+    ``min(jobs, cases, available CPUs)`` workers: the calling process is one
+    of them, and the others are forked children that evaluate their share
+    of the cases they inherited, without building them again.
     """
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r} (have {', '.join(_SUITES)})")
     build, evaluate, default_bound, default_sample = _SUITES[name]
     bound = default_bound if bound is None else bound
     sample = default_sample if sample is None else sample
-    check_nat(bound, sample, jobs)
+    check_nat(bound, name="bound")
+    check_nat(sample, name="sample")
+    check_nat(jobs, name="jobs")
     if sample > SIZE_LIMIT:
         raise BoundTooLarge(f"sample {sample} exceeds the maximum {SIZE_LIMIT}")
     if jobs < 1:
@@ -836,15 +897,7 @@ def run_suite(
     cases = build(bound, seed, sample)
     workers = min(jobs, len(cases), available_cpus())
     if workers > 1:
-        import multiprocessing as mp
-
-        # fork: a spawned worker would enumerate the universe again
-        chunks = [(name, bound, seed, sample, i, workers) for i in range(workers)]
-        with mp.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_eval_chunk, chunks)
-        found = [
-            (label, PBij._from_sorted(pairs)) for part in parts for label, pairs in part
-        ]
+        found = _evaluate_forked(evaluate, bound, cases, workers)
     else:
         found = [c for case in cases for c in evaluate(bound, case)]
     return _report(name, len(cases), found, started)

@@ -466,19 +466,24 @@ def test_verify_writes_document(capsys, tmp_path):
             "--pb", "[[0,0],[1,1]]", "--n", "-1",
         ],
         ["witness", "--kind", "much-wan", "--f", '{"const":"omega"}', "--pb", "[]", "--r", "-1"],
-        ["verify", "--suite", "continuity", "--sample", "-3", "--jobs", "1"],
-        ["witness", "--kind", "cover", "--n", "-1", "--pb", "[]"],
-        ["verify", "--suite", "census", "--bound", "-1", "--jobs", "1"],
+        ["verify", "--suite", "continuity", "--jobs", "1", "--sample", "-3"],
+        ["witness", "--kind", "cover", "--pb", "[]", "--n", "-1"],
+        ["verify", "--suite", "census", "--jobs", "1", "--bound", "-1"],
         # flags the command does not read are refused too
         ["witness", "--kind", "order", "--f", '{"drops":[]}', "--g", '{"drops":[1]}',
          "--r", "3", "--n", "-1"],
         ["witness", "--kind", "basis", "--f", '{"drops":[]}', "--pb", "[]", "--r", "-5"],
+        ["verify", "--suite", "census", "--jobs", "-1"],
     ],
-    ids=["n", "r", "sample", "cover-n", "bound", "unread-n", "unread-r"],
+    ids=["n", "r", "sample", "cover-n", "bound", "unread-n", "unread-r", "jobs"],
 )
 def test_negative_integer_flags_refused(capsys, argv):
     code, out, err = run(capsys, *argv)
-    assert code == 1 and out == "" and err.startswith("error:")
+    # the message names the refused flag, the last one given: run_suite names
+    # its parameter, main the flag
+    flag = argv[-2]
+    name = flag[2:] if argv[0] == "verify" else flag
+    assert code == 1 and out == "" and err.startswith(f"error: {name} = {argv[-1]} ")
 
 
 def test_verify_refuses_a_sample_above_the_size_limit(capsys):

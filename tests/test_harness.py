@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import random
 from bisect import bisect_left
 
@@ -445,8 +446,7 @@ def _unrestorable():
 
 
 def test_counterexamples_come_back_from_workers(monkeypatch):
-    # a worker that cannot unpickle its task dies, and the pool waits for it,
-    # so only builtins may cross the pipe
+    # a PBij need not unpickle: only builtins cross the pipe from a child
     monkeypatch.setattr(PBij, "__reduce__", lambda self: (_unrestorable, ()))
     serial = run_suite("continuity", bound=4, seed=10, jobs=1).to_obj()
     with deadline(20):
@@ -457,42 +457,81 @@ def test_counterexamples_come_back_from_workers(monkeypatch):
 
 
 def test_run_suite_caps_workers(monkeypatch):
-    import multiprocessing
+    forks = []
+    real_fork = os.fork
 
-    started = []
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-    class SerialPool:
-        def __init__(self, workers):
-            started.append(workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(item) for item in items]
-
-    class Context:
-        Pool = SerialPool
-
-    def get_context(method):
-        assert method == "fork"
-        return Context
-
-    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(harness.os, "fork", counting_fork)
     monkeypatch.setattr(harness, "available_cpus", lambda: 3)
     serial = run_suite("remark", bound=3)
+    assert forks == []
+    # 10 remark cases, then 3 d-map cases, on 3 CPUs: the caller is one of
+    # the 3 workers, so each run forks 2; one CPU runs in-process
     capped = run_suite("remark", bound=3, jobs=1000)
+    assert len(forks) == 2
     few = run_suite("d-map", bound=2, jobs=1000)
+    assert len(forks) == 4
     monkeypatch.setattr(harness, "available_cpus", lambda: 1)
     run_suite("remark", bound=3, jobs=1000)
-    # 10 remark cases on 3 CPUs, then 3 d-map cases; one CPU runs in-process
-    assert started == [3, 3]
+    assert len(forks) == 4
     assert capped.cases == serial.cases
     assert capped.counterexamples == serial.counterexamples
     assert few.ok and few.cases == 3
+
+
+class CaseFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [1, 0], ids=["child", "caller"])
+def test_a_raising_case_surfaces_and_leaves_no_child(monkeypatch, failing):
+    # with 2 workers the caller evaluates the even cases, the child the odd
+    def evaluate(bound, case):
+        if case == failing:
+            raise CaseFailed(f"case {case}")
+        return [(f"case {case}", EMPTY)]
+
+    monkeypatch.setitem(harness._SUITES, "remark", (lambda *_: list(range(6)), evaluate, 3, 0))
+    monkeypatch.setattr(harness, "available_cpus", lambda: 2)
+    with deadline(20), pytest.raises(CaseFailed, match=f"case {failing}"):
+        run_suite("remark", jobs=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_child_that_dies_without_a_result_raises(monkeypatch):
+    caller = os.getpid()
+
+    def evaluate(bound, case):
+        if case == 1 and os.getpid() != caller:
+            os._exit(3)
+        return [(f"case {case}", EMPTY)]
+
+    monkeypatch.setitem(harness._SUITES, "remark", (lambda *_: list(range(6)), evaluate, 3, 0))
+    monkeypatch.setattr(harness, "available_cpus", lambda: 2)
+    with deadline(20), pytest.raises(ChildProcessError, match="exit code 3"):
+        run_suite("remark", jobs=2)
+
+
+def test_a_result_larger_than_the_pipe_buffer_comes_back_whole(monkeypatch):
+    pad = "x" * 1000
+
+    def evaluate(bound, case):
+        return [(f"case {case}.{k} {pad}", PBij([(case, k)])) for k in range(300)]
+
+    monkeypatch.setitem(harness._SUITES, "remark", (lambda *_: list(range(10)), evaluate, 3, 0))
+    monkeypatch.setattr(harness, "available_cpus", lambda: 2)
+    child_share = [(label, h.pairs) for case in range(1, 10, 2) for label, h in evaluate(3, case)]
+    assert len(pickle.dumps(child_share)) > 1 << 20
+    serial = run_suite("remark", jobs=1).to_obj()
+    with deadline(20):
+        parallel = run_suite("remark", jobs=2).to_obj()
+    del serial["ms"], parallel["ms"]
+    assert parallel == serial
+    assert len(serial["counterexamples"]) == 3000
 
 
 def test_run_suite_refuses_samples_above_the_size_limit(monkeypatch):
