@@ -28,12 +28,12 @@ from .errors import (
     PreconditionError,
 )
 from .functions import (
+    OMEGA,
     SIZE_LIMIT,
     GenFn,
     WaningFn,
     check_nat,
     closure,
-    is_omega,
     nat_set,
 )
 from .pbij import PBij
@@ -157,8 +157,8 @@ SetDescriptor = Union[
 def _trusted(cls, *values):
     """``cls(*values)`` for a descriptor class, built without the
     constructor's checks.  Each call states beside it why they would pass.
-    It pays only where the checks cost more than this generic build: it is
-    slower than ``FixBelow``'s constructor, whose one check is on ``r``."""
+    It pays only where the checks cost more than this generic build, so not
+    for ``FixBelow`` (one check, on ``r``) or ``Intersection`` (none)."""
     d = object.__new__(cls)
     for name, value in zip(cls.__dataclass_fields__, values):
         object.__setattr__(d, name, value)
@@ -178,7 +178,10 @@ def _agrees_below(h: PBij, g: PBij, r: int) -> bool:
 
 def _ubasic_member(f, n: int, avoid: frozenset[int], h: PBij) -> bool:
     """Membership of h in ``UBasic(f, n, avoid)``."""
-    inside = sum(1 for _, y in h.pairs if y in avoid)
+    inside = 0
+    for _, y in h.pairs:
+        if y in avoid:
+            inside += 1
     return len(h.pairs) - inside >= n and inside <= f(n)
 
 
@@ -206,7 +209,11 @@ def member(d: SetDescriptor, h: PBij) -> bool:
             all(y not in ys for _, y in h.pairs) for ys in d.families
         )
     if isinstance(d, Dual):
-        return member(d.inner, h.inverse())
+        # invert once per Dual, in a loop: a chain may outgrow the recursion limit
+        inverted = False
+        while isinstance(d, Dual):
+            d, inverted = d.inner, not inverted
+        return member(d, h.inverse() if inverted else h)
     if isinstance(d, Intersection):
         return all(member(part, h) for part in d.parts)
     if isinstance(d, FixBelow):
@@ -274,7 +281,7 @@ def much_wan_witness(f: GenFn, g: PBij, r: int) -> SetDescriptor:
     i = bisect_left(g.pairs, (r,))
     if not (fp(r) <= size_value and fp(i) == size_value):
         raise PreconditionError(f"radius {r} is not valid for the closure")
-    if is_omega(size_value):
+    if size_value == OMEGA:
         # the mistake budget is unlimited, so only the agreement clause binds
         return FixBelow(g, r)
     if r > SIZE_LIMIT:
@@ -285,9 +292,9 @@ def much_wan_witness(f: GenFn, g: PBij, r: int) -> SetDescriptor:
     if i >= len(f.prefix):
         costs.append(f.tail + len(f.prefix))
     j = costs.index(min(costs))
-    b = size_value + i - f(j)
+    b = size_value + i - (costs[j] - j)
     outside = frozenset(range(r)) - g.image
-    hits = sorted(y for _, y in g.pairs[:i])
+    hits = sorted([y for _, y in g.pairs[:i]])
     picked = frozenset(hits[: i - b])
     # UBasic checks its size and points are naturals: j is drawn from
     # range(i + 1), and the points from range(r) and the targets of g
@@ -315,9 +322,7 @@ def tfprime_refinement(
         return _trusted(UBasic, fp, n, avoid)
     hit_sources = [x for x, y in g.pairs if y in avoid]
     miss_sources = [x for x, y in g.pairs if y not in avoid][:n]
-    r = valid_r_min(fp, g)
-    for point in (*avoid, *hit_sources, *miss_sources):
-        r = max(r, point + 1)
+    r = max([valid_r_min(fp, g) - 1, *avoid, *hit_sources, *miss_sources]) + 1
     # r is a natural at least valid_r_min(fp, g), and valid radii are closed
     # upwards (see valid_r_min), so WNbhd's checks pass
     return _trusted(WNbhd, fp, g, r)
@@ -333,13 +338,17 @@ def continuity_p(f: WaningFn, a: PBij, b: PBij, r: int) -> int:
     some seeds (see "Make continuity sound" in ROADMAP.md).
     """
     check_nat(r)
-    c = a * b
-    if not _wnbhd_valid(f, c, r):
+    if not _wnbhd_valid(f, a * b, r):
         raise InvalidR(f"radius {r} is not valid for the product")
-    a_bound = max((y for x, y in a.pairs if x <= r), default=-1)
-    b_bound = max((x for x, y in b.pairs if y <= r), default=-1)
     # valid radii are closed upwards, so the least common one is the largest
-    return max(1, valid_r_min(f, a), valid_r_min(f, b), a_bound + 1, b_bound + 1)
+    p = max(1, valid_r_min(f, a), valid_r_min(f, b))
+    for x, y in a.pairs:
+        if x <= r and y >= p:
+            p = y + 1
+    for x, y in b.pairs:
+        if y <= r and x >= p:
+            p = x + 1
+    return p
 
 
 def order_counterexample(
@@ -354,16 +363,16 @@ def order_counterexample(
     when the element would have more than SIZE_LIMIT pairs.
     """
     check_nat(r)
-    if f.const_omega:
-        n = None
-    else:
-        # f(i) < g(i) fails while f is OMEGA; from f's support end on f is 0
+    b = None
+    if not f.const_omega:
+        # f(n) < g(n) fails while f is OMEGA; from f's support end on f is 0
         # and g non-increasing, so it holds there only if it holds at the end
-        span = range(f.omega_prefix, f.support_end + 1)
-        n = next((i for i in span if f(i) < g(i)), None)
-    if n is None:
+        for n, v in enumerate((*f.drops, 0), f.omega_prefix):
+            if v < g(n):
+                b = n + v + 1
+                break
+    if b is None:
         raise NoWitness("first function dominates the second pointwise")
-    b = n + f(n) + 1
     if b > SIZE_LIMIT:
         raise BoundTooLarge(f"the witness has {b} pairs, above {SIZE_LIMIT}")
     if r <= b:

@@ -206,19 +206,20 @@ def closure(f: GenFn) -> WaningFn:
     """
     prefix, tail = f.prefix, f.tail
     i = 0
-    while i < len(prefix) and is_omega(prefix[i]):
+    while i < len(prefix) and prefix[i] == OMEGA:
         i += 1
-    if i == len(prefix) and is_omega(tail):
+    if i == len(prefix) and tail == OMEGA:
         return CONST_OMEGA
     drops: list[int] = []
     value, rest = OMEGA, 0
+    # min(v, value - 1) inline: v < value is v <= value - 1 for v in ℕ ∪ {OMEGA}
     for v in prefix[i:]:
-        value = min(v, value - 1)
+        value = v if v < value else value - 1
         if value == 0:
             break
         drops.append(value)
     else:
-        rest = min(tail, value - 1)
+        rest = tail if tail < value else value - 1
     if len(drops) + rest > SIZE_LIMIT:
         raise BoundTooLarge(f"the closure has more than {SIZE_LIMIT} drops")
     drops.extend(range(rest, 0, -1))

@@ -43,7 +43,7 @@ from operator import attrgetter, itemgetter, ne
 from typing import Iterable, Optional
 
 from . import descriptors as de
-from .errors import BoundTooLarge, DomainError, InvalidPoset, NoWitness, UnknownSuite
+from .errors import BoundTooLarge, DomainError, NoWitness, UnknownSuite
 from .functions import (
     CONST_OMEGA,
     CONST_ZERO,
@@ -363,7 +363,7 @@ def product_containment_check(
     for ds in left_classes:
         for es in right_classes:
             if not de.member(wc, ds[0] * es[0]):
-                products.update(product_pairs(d, e) for d in ds for e in es)
+                products.update(product_pairs(d.pairs, e._map) for d in ds for e in es)
     found = []
     for pairs, times in products.items():
         h = PBij._from_sorted(pairs)
@@ -635,11 +635,13 @@ def _dmap_eval(bound: int, case) -> list[tuple[str, PBij]]:
         if dh in seen:
             found.append((label + "#injective", h))
         seen.add(dh)
+    # each right factor's map, and its image's, looked up once
+    maps = [(k._map, image[k.pairs]._map) for k in ups]
     for h in ups:
-        dh = image[h.pairs]
-        for k in ups:
-            hk = product_pairs(h, k)
-            if image[hk].pairs != product_pairs(dh, image[k.pairs]):
+        pairs, dpairs = h.pairs, image[h.pairs].pairs
+        for kmap, dkmap in maps:
+            hk = product_pairs(pairs, kmap)
+            if image[hk].pairs != product_pairs(dpairs, dkmap):
                 found.append((label + "#homomorphism", PBij._from_sorted(hk)))
     return found
 
@@ -666,15 +668,16 @@ def _chains_cases(bound: int, seed: int, sample: int) -> list:
 
 
 def _longest_chain(fns: list[WaningFn]) -> int:
-    # total value decreases along preceq, so sorting by it is topological
+    # total value decreases along preceq, so sorting by it is topological; and
+    # distinct functions with equal totals are incomparable, so drop duplicates
     def total(w: WaningFn) -> int:
         return sum(w.drops)
 
-    fns = sorted(fns, key=total, reverse=True)
+    fns = sorted(dict.fromkeys(fns), key=total, reverse=True)
     best = [1] * len(fns)
     for j in range(len(fns)):
         for i in range(j):
-            if fns[i] != fns[j] and preceq(fns[i], fns[j]):
+            if preceq(fns[i], fns[j]):
                 best[j] = max(best[j], best[i] + 1)
     return max(best, default=0)
 
@@ -699,18 +702,21 @@ _LABELS = ("a", "b", "c", "d")
 
 def all_posets() -> list[FinitePoset]:
     """Every labeled poset on 1 to 4 elements: the reflexive relations that
-    ``FinitePoset`` accepts."""
+    ``FinitePoset`` accepts, in the order they are enumerated."""
     out = []
     for n in range(1, len(_LABELS) + 1):
         labels = _LABELS[:n]
         reflexive = [(a, a) for a in labels]
         off_diag = [(a, b) for a in labels for b in labels if a != b]
         for picks in itertools.product((False, True), repeat=len(off_diag)):
-            rel = reflexive + [p for p, take in zip(off_diag, picks) if take]
-            try:
-                out.append(FinitePoset(labels, rel))
-            except InvalidPoset:
-                pass
+            strict = [p for p, take in zip(off_diag, picks) if take]
+            below = set(strict)
+            # FinitePoset refuses a pair in both directions, or a < b < c without a < c
+            if any((b, a) in below for a, b in strict) or any(
+                (a, c) not in below for a, b in strict for b2, c in strict if b2 == b
+            ):
+                continue
+            out.append(FinitePoset(labels, reflexive + strict))
     return out
 
 

@@ -73,7 +73,7 @@ class PBij:
         return frozenset(y for _, y in self.pairs)
 
     def __mul__(self, other: "PBij") -> "PBij":
-        return PBij._from_sorted(product_pairs(self, other))
+        return PBij._from_sorted(product_pairs(self.pairs, other._map))
 
     def inverse(self) -> "PBij":
         return PBij._from_sorted(tuple(sorted((y, x) for x, y in self.pairs)))
@@ -97,11 +97,14 @@ class PBij:
 EMPTY = PBij()
 
 
-def product_pairs(a: PBij, b: PBij) -> tuple[tuple[int, int], ...]:
-    """The sorted pairs of ``a * b``: a's pairs in source order, each target
-    sent on through b, dropping those b leaves undefined."""
-    bmap = b._map
-    return tuple((x, bmap[y]) for x, y in a.pairs if y in bmap)
+def product_pairs(pairs: tuple, bmap: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The sorted pairs of ``a * b``, given ``a.pairs`` and ``b._map``: a's
+    pairs in source order, each target sent on through b where b is defined."""
+    out = []
+    for x, y in pairs:
+        if y in bmap:
+            out.append((x, bmap[y]))
+    return tuple(out)
 
 
 def reindex(avoid: Iterable[int], x: int, direction: Literal["forward", "inverse"] = "forward") -> int:

@@ -548,3 +548,14 @@ def test_cross_family_witness_separates_off_the_top(f, x, r):
 def test_dual_involution_and_semantics(d, h):
     assert member(Dual(d), h) == member(d, h.inverse())
     assert member(Dual(Dual(d)), h) == member(d, h)
+
+
+@given(descriptors(), pbijs(max_point=4, max_size=3))
+@settings(max_examples=20)
+def test_deep_dual_chain_answers_by_parity(d, h):
+    # far past the recursion limit: one Dual per level used to recurse
+    deep = d
+    for _ in range(5_000):
+        deep = Dual(deep)
+    assert member(deep, h) == member(d, h)
+    assert member(Dual(deep), h) == member(Dual(d), h)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pickle
@@ -17,6 +18,7 @@ from waning import (
     DomainError,
     FixBelow,
     InvalidDescriptor,
+    InvalidPoset,
     SIZE_LIMIT,
     PBij,
     UBasic,
@@ -29,6 +31,7 @@ from waning import (
     enumerate_universe,
     equality_check,
     member,
+    preceq,
     product_containment_check,
     reindex,
     run_suite,
@@ -42,7 +45,7 @@ from waning import (
 from waning import harness
 from waning.descriptors import DomMiss, Dual, Intersection, Wany
 from waning.serialize import fn_to_obj, pb_to_obj
-from waning.topology import Comparison, compare
+from waning.topology import Comparison, FinitePoset, compare
 
 
 def test_universe_counts():
@@ -393,6 +396,40 @@ def test_all_posets_counts():
     for p in posets:
         by_size.setdefault(len(p.elements), []).append(p)
     assert [len(by_size[n]) for n in (1, 2, 3, 4)] == [1, 3, 19, 219]
+
+
+def test_all_posets_matches_the_brute_force_filter():
+    # oracle: pass every reflexive relation through FinitePoset, in order
+    oracle = []
+    for n in range(1, 5):
+        labels = "abcd"[:n]
+        reflexive = [(a, a) for a in labels]
+        off_diag = [(a, b) for a in labels for b in labels if a != b]
+        for picks in itertools.product((False, True), repeat=len(off_diag)):
+            rel = reflexive + [p for p, take in zip(off_diag, picks) if take]
+            try:
+                oracle.append(FinitePoset(labels, rel))
+            except InvalidPoset:
+                pass
+    assert all_posets() == oracle
+
+
+omega_free = st.lists(st.integers(1, 6), max_size=3, unique=True).map(
+    lambda drops: WaningFn(drops=tuple(sorted(drops, reverse=True)))
+)
+
+
+@given(st.lists(omega_free, max_size=7))
+def test_longest_chain_ignores_duplicates_and_matches_brute_force(fns):
+    distinct = list(dict.fromkeys(fns))
+    # oracle: the largest set of distinct functions comparable pairwise
+    brute = max(
+        size
+        for size in range(len(distinct) + 1)
+        for chain in itertools.combinations(distinct, size)
+        if all(preceq(f, g) or preceq(g, f) for f, g in itertools.combinations(chain, 2))
+    )
+    assert harness._longest_chain(fns + fns) == harness._longest_chain(fns) == brute
 
 
 def test_unknown_suite():
