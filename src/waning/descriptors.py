@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import (
@@ -219,6 +220,34 @@ def member(d: SetDescriptor, h: PBij) -> bool:
     if isinstance(d, FixBelow):
         return _agrees_below(h, d.g, d.r)
     raise TypeError(f"not a descriptor: {d!r}")
+
+
+def _reach(d: SetDescriptor, bound: int) -> tuple[tuple, int, int]:
+    """(P, r, R): the members of ``d`` lie in the scope (P, r), the elements
+    whose pairs with source below r are exactly P, and ``member(d, h)``
+    reads only im(h) and h's pairs with source below R.
+
+    A W or FixBelow set holds elements agreeing with g below r, and reads
+    those pairs and the image.  An intersection reads what its parts read,
+    and takes the part scope with the largest r: two scopes are nested or
+    disjoint, the larger r the inner one when nested (``harness._mismatches``).
+    Other kinds take the whole universe, ((), 0): a U or ImMiss set reads
+    the image, a point or domain test at x reads h(x), a Wany set whether a
+    source lies below n and the image, and a dual ``bound``, all of h.
+    """
+    if isinstance(d, (WNbhd, FixBelow)):
+        return d.g.pairs[: bisect_left(d.g.pairs, (d.r,))], d.r, d.r
+    if isinstance(d, Intersection):
+        parts = [_reach(part, bound) for part in d.parts]
+        below, r, _ = max(parts, key=itemgetter(1), default=((), 0, 0))
+        return below, r, max((reach for _, _, reach in parts), default=0)
+    if isinstance(d, (UBasic, ImMiss)):
+        return (), 0, 0
+    if isinstance(d, (PointHit, DomMiss)):
+        return (), 0, d.x + 1
+    if isinstance(d, Wany):
+        return (), 0, d.n
+    return (), 0, bound
 
 
 def valid_r_min(f: WaningFn, g: PBij) -> int:

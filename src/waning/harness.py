@@ -95,34 +95,6 @@ def enumerate_universe(bound: int) -> tuple[PBij, ...]:
     return tuple(elements)
 
 
-def _reach(d: de.SetDescriptor, bound: int) -> tuple[tuple, int, int]:
-    """(P, r, R): the members of ``d`` lie in the scope (P, r), the elements
-    whose pairs with source below r are exactly P, and ``member(d, h)``
-    reads only im(h) and h's pairs with source below R.
-
-    A W or FixBelow set holds elements agreeing with g below r, and reads
-    those pairs and the image.  An intersection reads what its parts read,
-    and takes the part scope with the largest r: two scopes are nested or
-    disjoint (see ``_mismatches``), the larger r the inner one when nested.
-    Other kinds take the whole universe, ((), 0): a U or ImMiss set reads
-    the image, a point or domain test at x reads h(x), a Wany set whether a
-    source lies below n and the image, and a dual ``bound``, all of h.
-    """
-    if isinstance(d, (de.WNbhd, de.FixBelow)):
-        return d.g.pairs[: bisect_left(d.g.pairs, (d.r,))], d.r, d.r
-    if isinstance(d, de.Intersection):
-        parts = [_reach(part, bound) for part in d.parts]
-        below, r, _ = max(parts, key=itemgetter(1), default=((), 0, 0))
-        return below, r, max((reach for _, _, reach in parts), default=0)
-    if isinstance(d, (de.UBasic, de.ImMiss)):
-        return (), 0, 0
-    if isinstance(d, (de.PointHit, de.DomMiss)):
-        return (), 0, d.x + 1
-    if isinstance(d, de.Wany):
-        return (), 0, d.n
-    return (), 0, bound
-
-
 def _scope_classes(
     below: tuple[tuple[int, int], ...], r: int, reach: int, bound: int
 ):
@@ -209,7 +181,7 @@ def _report(name: str, cases: int, found, started: float) -> CheckReport:
 
 
 def _failing(d1, d2, scopes, bound: int, fails) -> list[PBij]:
-    """The elements h of the ``scopes`` (``_reach`` triples) with
+    """The elements h of the ``scopes`` (``de._reach`` triples) with
     ``fails(h in d1, h in d2)``, in universe order.  The scopes are disjoint.
     Each is split into classes by (pairs below R, image), R covering both
     reaches, and only a class's representative is tested; the elements of a
@@ -219,7 +191,7 @@ def _failing(d1, d2, scopes, bound: int, fails) -> list[PBij]:
         return fails(de.member(d1, h), de.member(d2, h))
 
     _check_bound(bound)
-    reach = max(_reach(d1, bound)[2], _reach(d2, bound)[2])
+    reach = max(de._reach(d1, bound)[2], de._reach(d2, bound)[2])
     found = []
     for below, r, _ in scopes:
         for elements in _scope_classes(below, r, reach, bound):
@@ -232,7 +204,7 @@ def _failing(d1, d2, scopes, bound: int, fails) -> list[PBij]:
 
 def _escapes(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[PBij]:
     """Universe elements in the first set but not the second."""
-    return _failing(d1, d2, [_reach(d1, bound)], bound, lambda a, b: a and not b)
+    return _failing(d1, d2, [de._reach(d1, bound)], bound, lambda a, b: a and not b)
 
 
 def _mismatches(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[PBij]:
@@ -245,7 +217,7 @@ def _mismatches(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[
     scope lies inside the first.  So the first alone is scanned when P2's
     pairs below r1 are P1, and otherwise both, which share no element.
     """
-    wide, narrow = sorted((_reach(d1, bound), _reach(d2, bound)), key=itemgetter(1))
+    wide, narrow = sorted((de._reach(d, bound) for d in (d1, d2)), key=itemgetter(1))
     (p1, r1, _), (p2, _, _) = wide, narrow
     nested = p2[: bisect_left(p2, (r1,))] == p1
     return _failing(d1, d2, [wide] if nested else [wide, narrow], bound, ne)
@@ -298,7 +270,7 @@ def _member_classes(
     R fix; so only each class's first element is tested.
     """
     us = enumerate_universe(bound)
-    below, r, own = _reach(d, bound)
+    below, r, own = de._reach(d, bound)
     at = bisect_left(us, below, key=_PAIRS)
     exact = us[at : at + 1] if at < len(us) and us[at].pairs == below else ()
     start = bisect_left(us, below + ((r,),), key=_PAIRS)
@@ -824,18 +796,18 @@ def _send_share(write_end: int, evaluate, bound: int, cases: list):
         os._exit(code)
 
 
-def _evaluate_forked(evaluate, bound: int, cases: list, workers: int) -> list:
+def _evaluate(evaluate, bound: int, cases: list, workers: int) -> list:
     """Counterexamples of ``cases`` from ``workers`` processes: this one
     evaluates ``cases[0::workers]``, and forked child ``i`` evaluates
     ``cases[i::workers]`` of the list it inherited and sends the result down
-    its own pipe.  A child's exception is raised here; a child that ends
-    without sending its whole result raises ChildProcessError.  Each pipe is read to EOF before its child
-    is reaped, so no result is too large to send; if anything raises, the
-    children still running are killed, and every child is reaped before
-    this returns."""
-    import pickle
-    import signal
-
+    its own pipe; one worker forks nothing.  A child's exception is raised
+    here; a child that ends without sending its whole result raises
+    ChildProcessError.  Each pipe is read to EOF before its child is reaped,
+    so no result is too large to send; if anything raises, the children
+    still running are killed, and every child is reaped before this returns."""
+    if workers > 1:  # a serial run loads neither
+        import pickle
+        import signal
     children = {}  # pid -> read end of the child's pipe, until it is reaped
     try:
         for share in range(1, workers):
@@ -883,9 +855,9 @@ def run_suite(
 
     Identical (bound, seed, sample) give identical reports apart from the
     elapsed time, whatever the worker count.  The cases are shared among
-    ``min(jobs, cases, available CPUs)`` workers: the calling process is one
-    of them, and the others are forked children that evaluate their share
-    of the cases they inherited, without building them again.
+    ``min(jobs, cases, available CPUs)`` workers, at least one: the calling
+    process is one of them, and the others are forked children that evaluate
+    their share of the cases they inherited, without building them again.
     """
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r} (have {', '.join(_SUITES)})")
@@ -901,9 +873,6 @@ def run_suite(
         raise DomainError(f"jobs must be at least 1, got {jobs}")
     started = time.perf_counter()
     cases = build(bound, seed, sample)
-    workers = min(jobs, len(cases), available_cpus())
-    if workers > 1:
-        found = _evaluate_forked(evaluate, bound, cases, workers)
-    else:
-        found = [c for case in cases for c in evaluate(bound, case)]
+    workers = max(1, min(jobs, len(cases), available_cpus()))
+    found = _evaluate(evaluate, bound, cases, workers)
     return _report(name, len(cases), found, started)

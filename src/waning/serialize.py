@@ -10,7 +10,7 @@ Waning functions are ``{"const":"omega"}`` or ``{"omega_prefix":k,"drops":[...]}
 eventually-constant functions are ``{"prefix":[...],"tail":v,"omega":v}``.
 Descriptors are tagged objects, topologies ``{"direct":...}``/``{"dual":...}``.
 A descriptor nesting ``dual`` and ``and`` more than MAX_NESTING deep has the
-wrong shape, as membership and the checks recurse at each level: ValueError.
+wrong shape, decoded or encoded, as the checks recurse at each level: ValueError.
 """
 
 from __future__ import annotations
@@ -120,7 +120,9 @@ def fn_from_obj(obj: Any):
     return waning_from_obj(obj)
 
 
-def descriptor_to_obj(d: SetDescriptor) -> dict:
+def descriptor_to_obj(d: SetDescriptor, depth: int = 0) -> dict:
+    if depth > MAX_NESTING:
+        raise ValueError(f"descriptor nests deeper than {MAX_NESTING} levels")
     if isinstance(d, PointHit):
         return {"hit": [d.x, d.y]}
     if isinstance(d, DomMiss):
@@ -136,9 +138,9 @@ def descriptor_to_obj(d: SetDescriptor) -> dict:
             "wany": {"n": d.n, "Ys": sorted(sorted(ys) for ys in d.families)}
         }
     if isinstance(d, Dual):
-        return {"dual": descriptor_to_obj(d.inner)}
+        return {"dual": descriptor_to_obj(d.inner, depth + 1)}
     if isinstance(d, Intersection):
-        return {"and": [descriptor_to_obj(p) for p in d.parts]}
+        return {"and": [descriptor_to_obj(p, depth + 1) for p in d.parts]}
     if isinstance(d, FixBelow):
         return {"fix": {"g": pb_to_obj(d.g), "r": d.r}}
     raise DomainError(f"not a descriptor: {d!r}")

@@ -42,6 +42,7 @@ from waning import (
     valid_r_min,
     waning_sample,
 )
+from waning import descriptors as de
 from waning import harness
 from waning.descriptors import DomMiss, Dual, Intersection, Wany
 from waning.serialize import fn_to_obj, pb_to_obj
@@ -108,7 +109,7 @@ def _assert_member_classes_exact(d, bound, reach):
     got = [h for hs in classes for h in hs]
     assert len(got) == len(set(got))
     assert set(got) == {h for h in us if member(d, h)}
-    top = max(reach, harness._reach(d, bound)[2])
+    top = max(reach, de._reach(d, bound)[2])
     keys = []
     for hs in classes:
         assert hs == sorted(hs, key=harness._PAIRS)
@@ -221,10 +222,18 @@ def test_scans_refuse_bounds_outside_the_universe(check, d):
         check(d, d, harness.MAX_BOUND + 1)
 
 
+def test_product_containment_refuses_bounds_outside_the_universe():
+    a = b = PBij([(0, 0)])
+    with pytest.raises(DomainError):
+        product_containment_check(CONST_ZERO, a, b, -1)
+    with pytest.raises(BoundTooLarge):
+        product_containment_check(CONST_ZERO, a, b, harness.MAX_BOUND + 1)
+
+
 @given(descriptors())
 @settings(max_examples=200, deadline=None)
 def test_membership_is_constant_on_reach_classes(d):
-    reach = harness._reach(d, 4)[2]
+    reach = de._reach(d, 4)[2]
 
     def key(h):
         return _below(h.pairs, reach), h.image
@@ -517,6 +526,22 @@ def test_run_suite_caps_workers(monkeypatch):
     assert capped.cases == serial.cases
     assert capped.counterexamples == serial.counterexamples
     assert few.ok and few.cases == 3
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_zero_case_run_forks_nothing(monkeypatch, jobs):
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(harness.os, "fork", counting_fork)
+    monkeypatch.setattr(harness, "available_cpus", lambda: 2)
+    rep = run_suite("basis", sample=0, jobs=jobs)
+    assert rep.ok and rep.cases == 0
+    assert forks == []
 
 
 class CaseFailed(Exception):

@@ -19,6 +19,8 @@ from waning import (
     Wany,
     WaningFn,
     WNbhd,
+    equality_check,
+    subset_check,
 )
 from waning.serialize import (
     MAX_NESTING,
@@ -101,6 +103,17 @@ def test_descriptor_nesting_is_capped(tag, wrap):
     assert descriptor_to_obj(descriptor_from_obj(obj)) == obj
     with pytest.raises(ValueError, match="nests deeper"):
         descriptor_from_obj({tag: wrap(obj)})
+    # the encoder keeps the same rule, and so do the checks that encode labels
+    nest = {"dual": Dual, "and": lambda d: Intersection((ImMiss(1), d))}[tag]
+    for depth in (MAX_NESTING + 1, 2000):
+        d = DomMiss(0)
+        for _ in range(depth):
+            d = nest(d)
+        with pytest.raises(ValueError, match="nests deeper"):
+            descriptor_to_obj(d)
+        for check in (subset_check, equality_check):
+            with pytest.raises(ValueError, match="nests deeper"):
+                check(d, d, 2)
 
 
 def test_topology_round_trip():
