@@ -55,7 +55,8 @@ def _decode(text: str, flag: str, parse):
     except json.JSONDecodeError as exc:
         raise _UsageError(f"flag {flag} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        # raised by json's decoder; descriptor_from_obj stops well before
+        # raised by json's decoder, or by a parse such as descriptor_from_obj
+        # that recurses once per level of the parsed JSON
         raise _UsageError(f"flag {flag} nests too deep to decode") from exc
     except (TypeError, KeyError, IndexError, ValueError) as exc:
         raise _UsageError(f"flag {flag} is malformed: {exc!r}") from exc

@@ -39,6 +39,8 @@ from .functions import (
 )
 from .pbij import PBij
 
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class PointHit:
@@ -130,6 +132,9 @@ class Dual:
 
     inner: "SetDescriptor"
 
+    def __post_init__(self):
+        _set_depth(self, (self.inner,))
+
 
 @dataclass(frozen=True)
 class Intersection:
@@ -137,6 +142,7 @@ class Intersection:
 
     def __init__(self, parts: Iterable["SetDescriptor"]):
         object.__setattr__(self, "parts", tuple(parts))
+        _set_depth(self, self.parts)
 
 
 @dataclass(frozen=True)
@@ -154,12 +160,36 @@ SetDescriptor = Union[
     PointHit, DomMiss, ImMiss, UBasic, WNbhd, Wany, Dual, Intersection, FixBelow
 ]
 
+_LEAVES = (FixBelow, UBasic, PointHit, DomMiss, ImMiss, WNbhd, Wany)
+
+
+def _set_depth(d: Union[Dual, Intersection], parts: tuple) -> None:
+    """Store ``d.depth``, the most Dual and Intersection levels on a path
+    down from d; refuse a part that is not a descriptor, and nesting past
+    MAX_NESTING, where ``member``, ``_reach`` and the encoder would recurse
+    too deep.  Not a field, so ``==``, ``hash`` and ``repr`` ignore it.  A
+    plain loop: ``much_wan_witness`` builds an intersection per call."""
+    depth = 0
+    for part in parts:
+        if isinstance(part, (Dual, Intersection)):
+            below = part.depth
+        elif isinstance(part, _LEAVES):
+            below = 0
+        else:
+            raise InvalidDescriptor(f"not a descriptor: {part!r}")
+        if below >= depth:
+            depth = below + 1
+    if depth > MAX_NESTING:
+        raise ValueError(f"descriptor nests deeper than {MAX_NESTING} levels")
+    object.__setattr__(d, "depth", depth)
+
 
 def _trusted(cls, *values):
     """``cls(*values)`` for a descriptor class, built without the
     constructor's checks.  Each call states beside it why they would pass.
     It pays only where the checks cost more than this generic build, so not
-    for ``FixBelow`` (one check, on ``r``) or ``Intersection`` (none)."""
+    for ``FixBelow`` (one check, on ``r``).  Never for ``Dual`` or
+    ``Intersection``: their ``depth`` would go unset."""
     d = object.__new__(cls)
     for name, value in zip(cls.__dataclass_fields__, values):
         object.__setattr__(d, name, value)
@@ -210,11 +240,7 @@ def member(d: SetDescriptor, h: PBij) -> bool:
             all(y not in ys for _, y in h.pairs) for ys in d.families
         )
     if isinstance(d, Dual):
-        # invert once per Dual, in a loop: a chain may outgrow the recursion limit
-        inverted = False
-        while isinstance(d, Dual):
-            d, inverted = d.inner, not inverted
-        return member(d, h.inverse() if inverted else h)
+        return member(d.inner, h.inverse())
     if isinstance(d, Intersection):
         return all(member(part, h) for part in d.parts)
     if isinstance(d, FixBelow):

@@ -9,8 +9,9 @@ poset labels JSON strings.
 Waning functions are ``{"const":"omega"}`` or ``{"omega_prefix":k,"drops":[...]}``;
 eventually-constant functions are ``{"prefix":[...],"tail":v,"omega":v}``.
 Descriptors are tagged objects, topologies ``{"direct":...}``/``{"dual":...}``.
-A descriptor nesting ``dual`` and ``and`` more than MAX_NESTING deep has the
-wrong shape, decoded or encoded, as the checks recurse at each level: ValueError.
+The descriptor constructors refuse ``dual`` and ``and`` nested more than
+``descriptors.MAX_NESTING`` deep with ValueError, so the encoder recurses at
+most that far; the decoder recurses as deep as the parsed object goes.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .descriptors import (
 from .errors import DomainError
 from .functions import OMEGA, ExtNat, GenFn, WaningFn, check_nat, is_omega, nat_set
 from .pbij import PBij
-
-MAX_NESTING = 100
 
 
 def value_to_obj(v: ExtNat) -> Any:
@@ -120,9 +119,7 @@ def fn_from_obj(obj: Any):
     return waning_from_obj(obj)
 
 
-def descriptor_to_obj(d: SetDescriptor, depth: int = 0) -> dict:
-    if depth > MAX_NESTING:
-        raise ValueError(f"descriptor nests deeper than {MAX_NESTING} levels")
+def descriptor_to_obj(d: SetDescriptor) -> dict:
     if isinstance(d, PointHit):
         return {"hit": [d.x, d.y]}
     if isinstance(d, DomMiss):
@@ -138,21 +135,20 @@ def descriptor_to_obj(d: SetDescriptor, depth: int = 0) -> dict:
             "wany": {"n": d.n, "Ys": sorted(sorted(ys) for ys in d.families)}
         }
     if isinstance(d, Dual):
-        return {"dual": descriptor_to_obj(d.inner, depth + 1)}
+        return {"dual": descriptor_to_obj(d.inner)}
     if isinstance(d, Intersection):
-        return {"and": [descriptor_to_obj(p, depth + 1) for p in d.parts]}
+        return {"and": [descriptor_to_obj(p) for p in d.parts]}
     if isinstance(d, FixBelow):
         return {"fix": {"g": pb_to_obj(d.g), "r": d.r}}
     raise DomainError(f"not a descriptor: {d!r}")
 
 
-def descriptor_from_obj(obj: Any, depth: int = 0) -> SetDescriptor:
-    if depth > MAX_NESTING:
-        raise ValueError(f"descriptor nests deeper than {MAX_NESTING} levels")
+def descriptor_from_obj(obj: Any) -> SetDescriptor:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise DomainError(f"expected a single-tag descriptor object, got {obj!r}")
     tag, body = next(iter(obj.items()))
-    # the constructors refuse points, sizes and radii that are not naturals
+    # the constructors refuse points, sizes and radii that are not naturals,
+    # and nesting past descriptors.MAX_NESTING
     if tag == "hit":
         x, y = body
         return PointHit(x, y)
@@ -172,9 +168,9 @@ def descriptor_from_obj(obj: Any, depth: int = 0) -> SetDescriptor:
         _check_keys(body, "n", "Ys")
         return Wany(body["n"], (nats_from_obj(ys) for ys in body["Ys"]))
     if tag == "dual":
-        return Dual(descriptor_from_obj(body, depth + 1))
+        return Dual(descriptor_from_obj(body))
     if tag == "and":
-        return Intersection(descriptor_from_obj(p, depth + 1) for p in body)
+        return Intersection(descriptor_from_obj(p) for p in body)
     if tag == "fix":
         _check_keys(body, "g", "r")
         return FixBelow(pb_from_obj(body["g"]), body["r"])

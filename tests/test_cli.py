@@ -306,8 +306,8 @@ DOMMISS = '{"dommiss":0}'
 
 
 def test_deep_json_is_a_usage_error(capsys):
-    # json's decoder runs out of stack on these before Python 3.13, and the
-    # serialize decoders refuse them after
+    # json's decoder runs out of stack on these before Python 3.13; after it
+    # descriptor_from_obj does on the descriptors and PBij refuses the pairs
     for argv in (
         ["member", "--d", nested(5000, '{"dual":', DOMMISS, "}"), "--pb", "[]"],
         ["member", "--d", DOMMISS, "--pb", nested(5000, "[", "", "]")],
@@ -334,7 +334,7 @@ def test_every_nesting_depth_runs_or_is_refused(capsys, opening, closing, depths
             ["subset", "--d1", d, "--d2", everything, "--bound", "2"],
         ):
             code, _, err = run(capsys, *argv)
-            accepted = depth <= waning.serialize.MAX_NESTING
+            accepted = depth <= waning.descriptors.MAX_NESTING
             assert code == (0 if accepted else 2), (depth, argv[0], err)
             assert accepted or "nests deeper" in err or "too deep to decode" in err
 

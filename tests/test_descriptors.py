@@ -45,11 +45,12 @@ from waning import (
     member,
     much_wan_witness,
     order_counterexample,
+    subset_check,
     tfprime_refinement,
     valid_r_min,
 )
-from waning.descriptors import _agrees_below
-from waning.serialize import descriptor_from_obj
+from waning.descriptors import MAX_NESTING, _agrees_below, _reach
+from waning.serialize import descriptor_from_obj, descriptor_to_obj
 
 
 def pb(*pairs):
@@ -112,6 +113,34 @@ def test_invalid_descriptors_rejected_at_construction():
         descriptor_from_obj({"W": {"f": {"drops": [2, 1]}, "g": [[5, 5]], "r": 0}})
     with pytest.raises(InvalidDescriptor):
         Wany(0, [])
+
+
+def test_parts_that_are_not_descriptors_refused_at_construction():
+    for make in (
+        lambda: Dual(5),
+        lambda: Intersection(["x", 5]),
+        lambda: Intersection((DomMiss(0), 5)),
+    ):
+        with pytest.raises(InvalidDescriptor, match="not a descriptor"):
+            make()
+
+
+@pytest.mark.parametrize(
+    "nest", [Dual, lambda d: Intersection((ImMiss(1), d))], ids=["dual", "and"]
+)
+def test_deepest_descriptors_run_and_deeper_are_refused(nest):
+    d = DomMiss(0)
+    for _ in range(MAX_NESTING):
+        d = nest(d)
+    assert d.depth == MAX_NESTING
+    assert member(d, pb((1, 2)))
+    _reach(d, 2)
+    repr(d)
+    hash(d)
+    assert descriptor_from_obj(descriptor_to_obj(d)) == d
+    assert subset_check(d, d, 2).ok
+    with pytest.raises(ValueError, match="nests deeper"):
+        nest(d)
 
 
 def test_radius_not_a_natural_refused_at_construction():
@@ -553,9 +582,10 @@ def test_dual_involution_and_semantics(d, h):
 @given(descriptors(), pbijs(max_point=4, max_size=3))
 @settings(max_examples=20)
 def test_deep_dual_chain_answers_by_parity(d, h):
-    # far past the recursion limit: one Dual per level used to recurse
+    # the deepest chain that can be built: Duals up to MAX_NESTING levels
+    levels = MAX_NESTING - getattr(d, "depth", 0)
     deep = d
-    for _ in range(5_000):
+    for _ in range(levels):
         deep = Dual(deep)
-    assert member(deep, h) == member(d, h)
-    assert member(Dual(deep), h) == member(Dual(d), h)
+    assert deep.depth == MAX_NESTING
+    assert member(deep, h) == member(Dual(d) if levels % 2 else d, h)
