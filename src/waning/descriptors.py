@@ -245,7 +245,7 @@ def member(d: SetDescriptor, h: PBij) -> bool:
         return all(member(part, h) for part in d.parts)
     if isinstance(d, FixBelow):
         return _agrees_below(h, d.g, d.r)
-    raise TypeError(f"not a descriptor: {d!r}")
+    raise InvalidDescriptor(f"not a descriptor: {d!r}")
 
 
 def _reach(d: SetDescriptor, bound: int) -> tuple[tuple, int, int]:
@@ -273,7 +273,9 @@ def _reach(d: SetDescriptor, bound: int) -> tuple[tuple, int, int]:
         return (), 0, d.x + 1
     if isinstance(d, Wany):
         return (), 0, d.n
-    return (), 0, bound
+    if isinstance(d, Dual):
+        return (), 0, bound
+    raise InvalidDescriptor(f"not a descriptor: {d!r}")
 
 
 def valid_r_min(f: WaningFn, g: PBij) -> int:

@@ -23,9 +23,10 @@ pairs with source below max(p, r) and their image, and right factors by
 their values on the left classes' low targets and the sources they send
 below r outside im(a * b); it tests one product per class pair, and forms
 and tests every product of a class pair only when that product fails,
-reporting a failing one once per factor pair.  The d-map check filters the
-universe by ``extends``, collapses each element once and looks up each
-product's image.
+reporting a failing one once per factor pair.  The d-map check builds the
+up-set of id_n from I_{B-n}, collapses each element once, and tests the
+product of each element with each of four generators of the up-set, which
+by induction on words makes the collapse multiplicative on every pair.
 """
 
 from __future__ import annotations
@@ -592,14 +593,42 @@ def _dmap_cases(bound: int, seed: int, sample: int) -> list:
     return [0, 1, 2]
 
 
+def _dmap_generators(n: int, bound: int) -> list[PBij]:
+    """id_B and the lifts id_n + shift_n(s) of a transposition, an m-cycle
+    and a partial identity of rank m - 1, m = B - n >= 0, built as pairs.
+    The last three generate I_m as a monoid (Howie 1995); for m < 2 the
+    transposition and the cycle are the identity."""
+    points = list(range(bound))
+    swap = points[:n] + points[n : n + 2][::-1] + points[n + 2 :]
+    cycle = points[:n] + points[n + 1 :] + points[n : n + 1]
+    return [
+        PBij._from_sorted(tuple(enumerate(p)))
+        for p in (points, swap, cycle, points[: max(n, bound - 1)])
+    ]
+
+
 def _dmap_eval(bound: int, case) -> list[tuple[str, PBij]]:
+    """phi = collapse(id_n, .) must map U, the elements that extend id_n,
+    injectively and multiplicatively.  U is id_n + shift_n(k) for k in
+    I_{B-n}, in universe order, and empty when n > B; h * k extends id_n
+    when h and k do, so every product's image is a lookup.  phi is
+    multiplicative on U once phi(hs) = phi(h)phi(s) for each h in U and
+    each s in S, the generators of U from ``_dmap_generators`` with
+    e = id_B among them.  Proof, by induction on a word k = e s_1 ... s_j
+    in S: for j = 0 it is the check at s = e; for k = k's,
+    phi(hk's) = phi(hk')phi(s) = phi(h)phi(k')phi(s) = phi(h)phi(k's), by
+    the check at h := hk', the induction and the check at h := k'."""
     n = case
+    if n > bound:
+        return []
     g = PBij.identity(n)
-    ups = [h for h in enumerate_universe(bound) if h.extends(g)]
+    ups = [
+        PBij._from_sorted(g.pairs + tuple((x + n, y + n) for x, y in k.pairs))
+        for k in enumerate_universe(bound - n)
+    ]
     label = dumps({"idempotent": pb_to_obj(g)})
-    # h * k extends the idempotent g whenever h and k do, so every product
-    # is in ``ups`` and its image is a lookup
     image = {h.pairs: collapse(g, h) for h in ups}
+    gens = [(s._map, image[s.pairs]._map) for s in _dmap_generators(n, bound)]
     found = []
     seen = set()
     for h in ups:
@@ -607,14 +636,10 @@ def _dmap_eval(bound: int, case) -> list[tuple[str, PBij]]:
         if dh in seen:
             found.append((label + "#injective", h))
         seen.add(dh)
-    # each right factor's map, and its image's, looked up once
-    maps = [(k._map, image[k.pairs]._map) for k in ups]
-    for h in ups:
-        pairs, dpairs = h.pairs, image[h.pairs].pairs
-        for kmap, dkmap in maps:
-            hk = product_pairs(pairs, kmap)
-            if image[hk].pairs != product_pairs(dpairs, dkmap):
-                found.append((label + "#homomorphism", PBij._from_sorted(hk)))
+        for smap, dsmap in gens:
+            hs = product_pairs(h.pairs, smap)
+            if image[hs].pairs != product_pairs(dh, dsmap):
+                found.append((label + "#homomorphism", PBij._from_sorted(hs)))
     return found
 
 

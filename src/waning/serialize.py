@@ -31,7 +31,7 @@ from .descriptors import (
     Wany,
     WNbhd,
 )
-from .errors import DomainError
+from .errors import DomainError, InvalidDescriptor
 from .functions import OMEGA, ExtNat, GenFn, WaningFn, check_nat, is_omega, nat_set
 from .pbij import PBij
 
@@ -140,7 +140,7 @@ def descriptor_to_obj(d: SetDescriptor) -> dict:
         return {"and": [descriptor_to_obj(p) for p in d.parts]}
     if isinstance(d, FixBelow):
         return {"fix": {"g": pb_to_obj(d.g), "r": d.r}}
-    raise DomainError(f"not a descriptor: {d!r}")
+    raise InvalidDescriptor(f"not a descriptor: {d!r}")
 
 
 def descriptor_from_obj(obj: Any) -> SetDescriptor:

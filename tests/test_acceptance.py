@@ -191,6 +191,10 @@ def test_criterion_11_collapse_isomorphism():
     _suite_criterion("11", "collapse map isomorphism", 30.0, "d-map", bound=4)
 
 
+def test_criterion_11b_collapse_isomorphism_bound_6():
+    _suite_criterion("11b", "collapse map isomorphism", 10.0, "d-map", bound=6)
+
+
 def test_criterion_12_dual_symmetry():
     _suite_criterion(
         "12", "cross-family incomparability", 10.0, "dual", bound=4, seed=1, sample=50

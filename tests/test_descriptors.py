@@ -42,6 +42,7 @@ from waning import (
     cover_witness,
     cross_family_witness,
     enumerate_universe,
+    equality_check,
     member,
     much_wan_witness,
     order_counterexample,
@@ -123,6 +124,24 @@ def test_parts_that_are_not_descriptors_refused_at_construction():
     ):
         with pytest.raises(InvalidDescriptor, match="not a descriptor"):
             make()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: member(d, EMPTY),
+        lambda d: _reach(d, 3),
+        descriptor_to_obj,
+        lambda d: subset_check(d, DomMiss(0), 2),
+        lambda d: subset_check(DomMiss(0), d, 2),
+        lambda d: equality_check(d, DomMiss(0), 2),
+    ],
+    ids=["member", "reach", "encode", "subset-left", "subset-right", "equality"],
+)
+@pytest.mark.parametrize("value", [5, EMPTY], ids=["int", "pbij"])
+def test_values_that_are_not_descriptors_refused(call, value):
+    with pytest.raises(InvalidDescriptor, match="not a descriptor"):
+        call(value)
 
 
 @pytest.mark.parametrize(

@@ -342,6 +342,73 @@ def _dmap_kinds():
     return {inputs.rsplit("#", 1)[1] for inputs, _ in report.counterexamples}
 
 
+def _up_set(n, bound):
+    g = PBij.identity(n)
+    return [h for h in enumerate_universe(bound) if h.extends(g)]
+
+
+def _dmap_all_pairs_ok(n, bound):
+    """The reference verdict: collapse(id_n, .) is injective on the up-set
+    of id_n in I_B and multiplicative on every pair of it."""
+    g, ups = PBij.identity(n), _up_set(n, bound)
+    image = {h: harness.collapse(g, h) for h in ups}
+    if len(set(image.values())) != len(ups):
+        return False
+    return all(image[h * k] == image[h] * image[k] for h in ups for k in ups)
+
+
+def _swap_rank_one(g, h):
+    # injective, but sends the idempotent {0->0} to {0->1}, which is not one
+    a, b, d = PBij([(0, 0)]), PBij([(0, 1)]), collapse(g, h)
+    return {a: b, b: a}.get(d, d)
+
+
+@pytest.mark.parametrize(
+    "faulty",
+    [
+        collapse,
+        lambda g, h: collapse(g, h).inverse(),
+        lambda g, h: EMPTY,
+        _swap_rank_one,
+    ],
+    ids=["collapse", "inverse", "empty", "swap-rank-one"],
+)
+def test_dmap_generator_check_matches_all_pairs(monkeypatch, faulty):
+    monkeypatch.setattr(harness, "collapse", faulty)
+    for bound in range(5):
+        for n in harness._dmap_cases(bound, 1, 0):
+            ok = not harness._dmap_eval(bound, n)
+            assert ok == _dmap_all_pairs_ok(n, bound), (bound, n)
+
+
+def test_dmap_collapses_each_element_of_the_up_set_once(monkeypatch):
+    met = []
+    monkeypatch.setattr(harness, "collapse", lambda g, h: met.append(h) or collapse(g, h))
+    for bound in range(6):
+        for n in range(3):
+            met.clear()
+            harness._dmap_eval(bound, n)
+            assert met == _up_set(n, bound)
+
+
+def test_dmap_generators_generate_the_up_set():
+    for bound in range(6):
+        for n in range(min(bound, 2) + 1):
+            gens = harness._dmap_generators(n, bound)
+            closed, frontier = set(gens), list(gens)
+            while frontier:
+                new = {h * s for h in frontier for s in gens} - closed
+                closed |= new
+                frontier = list(new)
+            assert closed == set(_up_set(n, bound)), (bound, n)
+
+
+def test_dmap_bounds_below_the_idempotents_pass():
+    for bound in range(3):
+        report = run_suite("d-map", bound=bound)
+        assert report.ok and report.cases == 3
+
+
 def test_dmap_reports_a_faulty_collapse(monkeypatch):
     assert _dmap_kinds() == set()
     # inversion keeps the map injective but reverses the order of products
@@ -350,6 +417,8 @@ def test_dmap_reports_a_faulty_collapse(monkeypatch):
     # a constant EMPTY is multiplicative but not injective
     monkeypatch.setattr(harness, "collapse", lambda g, h: EMPTY)
     assert _dmap_kinds() == {"injective"}
+    monkeypatch.setattr(harness, "collapse", _swap_rank_one)
+    assert _dmap_kinds() == {"homomorphism"}
 
 
 def test_dual_reports_a_faulty_compare(monkeypatch):

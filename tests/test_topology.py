@@ -18,6 +18,7 @@ from waning import (
     hasse_dot,
     join_topology,
     preceq,
+    waning_sample,
 )
 
 
@@ -81,6 +82,23 @@ def test_join_topology_is_upper_bound(f, g):
         j = join_topology(t1, t2)
         for t in (t1, t2):
             assert compare(t, j) in (Comparison.EQUAL, Comparison.COARSER_STRICT)
+
+
+def test_join_topology_is_least():
+    # every common upper bound in the sample lies above the join: the sample
+    # members above t1 and above t2 are all above join(t1, t2)
+    ts = [PolishTopology(f, dual) for f in waning_sample() for dual in (False, True)]
+
+    def above(t):
+        coarser = (Comparison.EQUAL, Comparison.COARSER_STRICT)
+        return frozenset(u for u in ts if compare(t, u) in coarser)
+
+    ups = {t: above(t) for t in ts}
+    for t1, t2 in itertools.product(ts, repeat=2):
+        j = join_topology(t1, t2)
+        if j not in ups:
+            ups[j] = above(j)
+        assert ups[t1] & ups[t2] <= ups[j], (t1, t2)
 
 
 def chain_poset():
