@@ -84,15 +84,36 @@ def _check_bound(bound: int) -> None:
 # typed: 1.0 and True equal 1, and must not find the cached universe of bound 1
 @lru_cache(maxsize=None, typed=True)
 def enumerate_universe(bound: int) -> tuple[PBij, ...]:
-    """All partial bijections inside range(bound), in lexicographic order."""
+    """All partial bijections inside range(bound), in lexicographic order of
+    their sorted pairs.
+
+    A pre-order walk from the empty map: each element is extended by one
+    pair (x, y), x above every source so far and y an unused target, trying
+    x and then y in increasing order, and is emitted when first reached.
+    Each element is reached once, through the prefixes of its sorted pairs,
+    and its tuple is its parent's plus one pair from a table built once, so
+    all elements share their pair tuples.  The walk is lexicographic: by
+    induction on the depth, the walk below an element emits it and then its
+    extensions in order, since a prefix sorts before its extensions, and
+    two children's extensions differ first at the child's pair, so the walk
+    below a child comes wholly before the walk below the next one.  The
+    recursion is at most bound + 1 calls deep.
+    """
     _check_bound(bound)
+    table = [[(x, y) for y in range(bound)] for x in range(bound)]
+    used = [False] * bound
     elements = []
-    points = range(bound)
-    for k in range(bound + 1):
-        for dom in itertools.combinations(points, k):
-            for img in itertools.permutations(points, k):
-                elements.append(PBij._from_sorted(tuple(zip(dom, img))))
-    elements.sort(key=_PAIRS)
+
+    def walk(pairs, start):
+        elements.append(PBij._from_sorted(pairs))
+        for x in range(start, bound):
+            for y, pair in enumerate(table[x]):
+                if not used[y]:
+                    used[y] = True
+                    walk(pairs + (pair,), x + 1)
+                    used[y] = False
+
+    walk((), 0)
     return tuple(elements)
 
 

@@ -8,6 +8,7 @@ are immutable and hashable; composition applies the left factor first, so
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal
@@ -139,11 +140,17 @@ def collapse(g: PBij, h: PBij) -> PBij:
     """
     if not h.extends(g):
         raise PreconditionError("h does not extend g")
-    dom_g = g.domain
-    im_g = g.image
-    pairs = [
-        (reindex(dom_g, x, "inverse"), reindex(im_g, y, "inverse"))
-        for x, y in h.pairs
-        if x not in dom_g
-    ]
-    return PBij(pairs)
+    g_map = g._map
+    dom_g = [x for x, _ in g.pairs]
+    im_g = sorted(g.image)
+    # a point's rank outside a sorted set is the point less the set's points
+    # below it: strictly increasing off the set, so the sources keep their
+    # order and distinct targets stay distinct, and the pairs stay sorted
+    # and bijective
+    return PBij._from_sorted(
+        tuple(
+            (x - bisect_left(dom_g, x), y - bisect_left(im_g, y))
+            for x, y in h.pairs
+            if x not in g_map
+        )
+    )

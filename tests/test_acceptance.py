@@ -17,9 +17,11 @@ from waning import (
     closure,
     count_with_first_value_below,
     enumerate_below,
+    enumerate_universe,
     is_waning,
     run_suite,
     staircase,
+    universe_size,
 )
 from waning.harness import all_posets
 
@@ -89,6 +91,13 @@ def test_criterion_03c_neighbourhood_basis_bound7():
         sample=200,
         jobs=1,
     )
+
+
+def test_criterion_03d_universe_bound7():
+    # __wrapped__ builds I_7 afresh and leaves the cache as it was
+    started = time.perf_counter()
+    ok = len(enumerate_universe.__wrapped__(7)) == universe_size(7)
+    _finish("03d", "universe enumeration at bound 7", started, 3.0, ok)
 
 
 def test_criterion_04_closure_neighbourhoods():

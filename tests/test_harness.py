@@ -74,6 +74,27 @@ def test_universe_small_listing():
     ]
 
 
+def _reference_universe(bound):
+    """Every choice of domain and image, then one sort of the pair tuples."""
+    points = range(bound)
+    listing = [
+        tuple(zip(dom, img))
+        for k in range(bound + 1)
+        for dom in itertools.combinations(points, k)
+        for img in itertools.permutations(points, k)
+    ]
+    return sorted(listing)
+
+
+@pytest.mark.parametrize("bound", range(7))
+def test_universe_matches_sorted_reference(bound):
+    universe = enumerate_universe(bound)
+    assert [h.pairs for h in universe] == _reference_universe(bound)
+    for h in universe:
+        assert type(h) is PBij
+        assert h.pairs == PBij(h.pairs).pairs
+
+
 def test_universe_orders_lexicographically():
     us = enumerate_universe(3)
     assert us[0] == PBij()

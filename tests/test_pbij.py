@@ -1,3 +1,4 @@
+import itertools
 import pickle
 
 import pytest
@@ -156,8 +157,14 @@ def test_invert_involution(a):
 
 @given(pbijs())
 def test_collapse_matches_oracle_on_extensions(h):
-    for n in range(3):
-        g = PBij.identity(n)
+    # partial identities, and every sub-map of h, whose domain and image
+    # may have gaps
+    sub_maps = [
+        PBij(kept)
+        for k in range(len(h) + 1)
+        for kept in itertools.combinations(h.pairs, k)
+    ]
+    for g in [PBij.identity(n) for n in range(3)] + sub_maps:
         if h.extends(g):
             assert collapse(g, h) == collapse_oracle(g, h)
             assert len(collapse(g, h)) == len(h) - len(g)
