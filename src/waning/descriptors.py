@@ -91,8 +91,8 @@ class UBasic:
 class WNbhd:
     """Principal neighbourhood of g: agree with g below r and hit at most
     f(|g|) image points in range(r) outside im(g).  Raises DomainError unless
-    r is a natural and InvalidDescriptor unless r is valid:
-    f(r) <= f(|g|) = f(|g restricted below r|)."""
+    r is a natural, and InvalidDescriptor unless f is a WaningFn and r is
+    valid, that is r >= valid_r_min(f, g)."""
 
     f: WaningFn
     g: PBij
@@ -100,7 +100,9 @@ class WNbhd:
 
     def __post_init__(self):
         check_nat(self.r)
-        if not _wnbhd_valid(self.f, self.g, self.r):
+        if not isinstance(self.f, WaningFn):
+            raise InvalidDescriptor(f"not a waning function: {self.f!r}")
+        if self.r < valid_r_min(self.f, self.g):
             raise InvalidDescriptor(
                 f"radius {self.r} is not valid for this neighbourhood"
             )
@@ -182,23 +184,6 @@ def _set_depth(d: Union[Dual, Intersection], parts: tuple) -> None:
     if depth > MAX_NESTING:
         raise ValueError(f"descriptor nests deeper than {MAX_NESTING} levels")
     object.__setattr__(d, "depth", depth)
-
-
-def _trusted(cls, *values):
-    """``cls(*values)`` for a descriptor class, built without the
-    constructor's checks.  Each call states beside it why they would pass.
-    It pays only where the checks cost more than this generic build, so not
-    for ``FixBelow`` (one check, on ``r``).  Never for ``Dual`` or
-    ``Intersection``: their ``depth`` would go unset."""
-    d = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(d, name, value)
-    return d
-
-
-def _wnbhd_valid(f: WaningFn, g: PBij, r: int) -> bool:
-    size_value = f(len(g.pairs))
-    return f(r) <= size_value and f(bisect_left(g.pairs, (r,))) == size_value
 
 
 def _agrees_below(h: PBij, g: PBij, r: int) -> bool:
@@ -333,11 +318,10 @@ def much_wan_witness(f: GenFn, g: PBij, r: int) -> SetDescriptor:
     """
     check_nat(r)
     fp = closure(f)
-    # _wnbhd_valid inlined: the witness reuses f'(|g|) and i
+    if r < valid_r_min(fp, g):
+        raise PreconditionError(f"radius {r} is not valid for the closure")
     size_value = fp(len(g.pairs))
     i = bisect_left(g.pairs, (r,))
-    if not (fp(r) <= size_value and fp(i) == size_value):
-        raise PreconditionError(f"radius {r} is not valid for the closure")
     if size_value == OMEGA:
         # the mistake budget is unlimited, so only the agreement clause binds
         return FixBelow(g, r)
@@ -353,10 +337,7 @@ def much_wan_witness(f: GenFn, g: PBij, r: int) -> SetDescriptor:
     outside = frozenset(range(r)) - g.image
     hits = sorted([y for _, y in g.pairs[:i]])
     picked = frozenset(hits[: i - b])
-    # UBasic checks its size and points are naturals: j is drawn from
-    # range(i + 1), and the points from range(r) and the targets of g
-    basic = _trusted(UBasic, f, j, outside | picked)
-    return Intersection((FixBelow(g, r), basic))
+    return Intersection((FixBelow(g, r), UBasic(f, j, outside | picked)))
 
 
 def tfprime_refinement(
@@ -375,14 +356,11 @@ def tfprime_refinement(
         raise NotMember("base point is outside the basic set")
     fp = closure(f)
     if fp(len(g.pairs)) > 0:
-        # n and avoid were checked on entry, as UBasic would check them
-        return _trusted(UBasic, fp, n, avoid)
+        return UBasic(fp, n, avoid)
     hit_sources = [x for x, y in g.pairs if y in avoid]
     miss_sources = [x for x, y in g.pairs if y not in avoid][:n]
     r = max([valid_r_min(fp, g) - 1, *avoid, *hit_sources, *miss_sources]) + 1
-    # r is a natural at least valid_r_min(fp, g), and valid radii are closed
-    # upwards (see valid_r_min), so WNbhd's checks pass
-    return _trusted(WNbhd, fp, g, r)
+    return WNbhd(fp, g, r)
 
 
 def continuity_p(f: WaningFn, a: PBij, b: PBij, r: int) -> int:
@@ -395,7 +373,7 @@ def continuity_p(f: WaningFn, a: PBij, b: PBij, r: int) -> int:
     some seeds (see "Make continuity sound" in ROADMAP.md).
     """
     check_nat(r)
-    if not _wnbhd_valid(f, a * b, r):
+    if r < valid_r_min(f, a * b):
         raise InvalidR(f"radius {r} is not valid for the product")
     # valid radii are closed upwards, so the least common one is the largest
     p = max(1, valid_r_min(f, a), valid_r_min(f, b))

@@ -615,16 +615,17 @@ def _dmap_cases(bound: int, seed: int, sample: int) -> list:
 
 
 def _dmap_generators(n: int, bound: int) -> list[PBij]:
-    """id_B and the lifts id_n + shift_n(s) of a transposition, an m-cycle
-    and a partial identity of rank m - 1, m = B - n >= 0, built as pairs.
-    The last three generate I_m as a monoid (Howie 1995); for m < 2 the
+    """The lifts id_n + shift_n(s) of a transposition, an m-cycle and a
+    partial identity of rank m - 1, m = B - n >= 0, built as pairs.  They
+    generate I_m as a monoid (Howie 1995), and as a semigroup too, as the
+    square of the transposition is the identity; for m < 2 the
     transposition and the cycle are the identity."""
     points = list(range(bound))
     swap = points[:n] + points[n : n + 2][::-1] + points[n + 2 :]
     cycle = points[:n] + points[n + 1 :] + points[n : n + 1]
     return [
         PBij._from_sorted(tuple(enumerate(p)))
-        for p in (points, swap, cycle, points[: max(n, bound - 1)])
+        for p in (swap, cycle, points[: max(n, bound - 1)])
     ]
 
 
@@ -633,12 +634,15 @@ def _dmap_eval(bound: int, case) -> list[tuple[str, PBij]]:
     injectively and multiplicatively.  U is id_n + shift_n(k) for k in
     I_{B-n}, in universe order, and empty when n > B; h * k extends id_n
     when h and k do, so every product's image is a lookup.  phi is
-    multiplicative on U once phi(hs) = phi(h)phi(s) for each h in U and
-    each s in S, the generators of U from ``_dmap_generators`` with
-    e = id_B among them.  Proof, by induction on a word k = e s_1 ... s_j
-    in S: for j = 0 it is the check at s = e; for k = k's,
+    multiplicative on U once phi(e) = id_{B-n} for e = id_B, and
+    phi(hs) = phi(h)phi(s) for each h in U and each s in S, the generators
+    of U from ``_dmap_generators``.  Proof, by induction on a word
+    k = e s_1 ... s_j in S: for j = 0, phi(he) = phi(h) = phi(h)id_{B-n}
+    = phi(h)phi(e), as phi maps into I_{B-n}; for k = k's,
     phi(hk's) = phi(hk')phi(s) = phi(h)phi(k')phi(s) = phi(h)phi(k's), by
-    the check at h := hk', the induction and the check at h := k'."""
+    the check at h := hk', the induction and the check at h := k'.
+    Conversely an injective phi multiplicative on U is onto I_{B-n}, as
+    |U| = |I_{B-n}|, so phi(e) is its identity."""
     n = case
     if n > bound:
         return []
@@ -651,6 +655,9 @@ def _dmap_eval(bound: int, case) -> list[tuple[str, PBij]]:
     image = {h.pairs: collapse(g, h) for h in ups}
     gens = [(s._map, image[s.pairs]._map) for s in _dmap_generators(n, bound)]
     found = []
+    e = PBij.identity(bound)
+    if image[e.pairs] != PBij.identity(bound - n):
+        found.append((label + "#identity", e))
     seen = set()
     for h in ups:
         dh = image[h.pairs].pairs

@@ -202,12 +202,7 @@ def poset_from_obj(obj: Any):
     if not isinstance(obj, dict):
         raise DomainError(f"expected a poset object, got {obj!r}")
     _check_keys(obj, "elements", "leq")
-    elements = obj.get("elements", [])
-    leq = obj.get("leq", [])
-    for label in (*elements, *(label for pair in leq for label in pair)):
-        if not isinstance(label, str):
-            raise DomainError(f"poset labels must be strings, got {label!r}")
-    return FinitePoset(elements, leq)
+    return FinitePoset(obj.get("elements", []), obj.get("leq", []))
 
 
 def dumps(obj: Any) -> str:

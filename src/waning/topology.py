@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import InvalidPoset
+from .errors import DomainError, InvalidPoset
 from .functions import CONST_ZERO, WaningFn, join, preceq
 from .serialize import dumps, waning_to_obj
 
@@ -67,12 +67,19 @@ def join_topology(t1: PolishTopology, t2: PolishTopology) -> PolishTopology:
 
 @dataclass(frozen=True)
 class FinitePoset:
+    """A partial order on string labels.  Raises DomainError for a label
+    that is not a string, and InvalidPoset unless ``leq`` is reflexive,
+    antisymmetric and transitive on the elements."""
+
     elements: tuple[str, ...]
     leq: frozenset[tuple[str, str]]
 
     def __init__(self, elements: Iterable[str], leq: Iterable[tuple[str, str]]):
-        elements = tuple(str(e) for e in elements)
-        leq = frozenset((str(a), str(b)) for a, b in leq)
+        elements, pairs = tuple(elements), tuple(leq)
+        for label in (*elements, *(label for pair in pairs for label in pair)):
+            if not isinstance(label, str):
+                raise DomainError(f"poset labels must be strings, got {label!r}")
+        leq = frozenset((a, b) for a, b in pairs)
         if len(set(elements)) != len(elements):
             raise InvalidPoset("duplicate labels")
         universe = set(elements)

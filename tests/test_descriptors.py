@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +103,11 @@ def test_member_wnbhd_validity():
     # radius 0 restricts g to nothing, so the size values disagree
     with pytest.raises(InvalidDescriptor):
         WNbhd(WaningFn(drops=(2, 1)), pb((5, 5)), 0)
+
+
+def test_wnbhd_refuses_a_function_that_is_not_waning():
+    with pytest.raises(InvalidDescriptor, match="not a waning function"):
+        WNbhd(GenFn(prefix=(2, 1)), EMPTY, 3)
 
 
 def test_member_wany():
@@ -227,10 +234,38 @@ def test_valid_r_monotone_and_minimal(f, g):
         assert f(p) <= size_value == f(len(g.restrict(p)))
     for p in range(r):
         assert not (f(p) <= size_value == f(len(g.restrict(p))))
+    # WNbhd applies the same rule
+    for p in range(r + 4):
+        with _raises_if(p < r, InvalidDescriptor):
+            WNbhd(f, g, p)
 
 
 def _valid(f, g, r):
     return f(r) <= f(len(g)) == f(len(g.restrict(r)))
+
+
+def _raises_if(invalid, error):
+    return pytest.raises(error, match="not valid") if invalid else nullcontext()
+
+
+@given(
+    waning_fns(),
+    genfns(),
+    pbijs(max_point=5, max_size=3),
+    pbijs(max_point=5, max_size=3),
+    st.integers(0, 8),
+)
+def test_witnesses_refuse_exactly_the_invalid_radii(f, gen, a, b, r):
+    # the refusals follow valid_r_min, and so the definition in _valid
+    invalid = r < valid_r_min(f, a * b)
+    assert invalid == (not _valid(f, a * b, r))
+    with _raises_if(invalid, InvalidR):
+        continuity_p(f, a, b, r)
+    fp = closure(gen)
+    invalid = r < valid_r_min(fp, a)
+    assert invalid == (not _valid(fp, a, r))
+    with _raises_if(invalid, PreconditionError):
+        much_wan_witness(gen, a, r)
 
 
 def stepping_valid_r_min(f, g):

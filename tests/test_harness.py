@@ -435,11 +435,11 @@ def test_dmap_reports_a_faulty_collapse(monkeypatch):
     # inversion keeps the map injective but reverses the order of products
     monkeypatch.setattr(harness, "collapse", lambda g, h: collapse(g, h).inverse())
     assert _dmap_kinds() == {"homomorphism"}
-    # a constant EMPTY is multiplicative but not injective
+    # a constant EMPTY is multiplicative but neither injective nor a monoid map
     monkeypatch.setattr(harness, "collapse", lambda g, h: EMPTY)
-    assert _dmap_kinds() == {"injective"}
+    assert _dmap_kinds() == {"identity", "injective"}
     monkeypatch.setattr(harness, "collapse", _swap_rank_one)
-    assert _dmap_kinds() == {"homomorphism"}
+    assert _dmap_kinds() == {"homomorphism", "identity"}
 
 
 def test_dual_reports_a_faulty_compare(monkeypatch):

@@ -8,6 +8,7 @@ from waning import (
     CONST_OMEGA,
     CONST_ZERO,
     Comparison,
+    DomainError,
     FinitePoset,
     InvalidPoset,
     PolishTopology,
@@ -123,6 +124,12 @@ def test_poset_validation():
         )
     with pytest.raises(InvalidPoset):
         FinitePoset(["a"], [("a", "a"), ("a", "z")])
+
+
+@pytest.mark.parametrize("elements, leq", [([1], [(1, 1)]), (["1"], [("1", 1)])])
+def test_poset_refuses_labels_that_are_not_strings(elements, leq):
+    with pytest.raises(DomainError, match="labels must be strings, got 1"):
+        FinitePoset(elements, leq)
 
 
 def test_embed_antichain_example():
