@@ -76,7 +76,8 @@ class ImMiss:
 @dataclass(frozen=True)
 class UBasic:
     """Elements with at least n image points outside ``avoid`` and at most
-    f(n) image points inside it."""
+    f(n) image points inside it.  Raises InvalidDescriptor unless f is a
+    GenFn or a WaningFn."""
 
     f: Union[GenFn, WaningFn]
     n: int
@@ -84,6 +85,10 @@ class UBasic:
 
     def __post_init__(self):
         check_nat(self.n)
+        if not isinstance(self.f, (GenFn, WaningFn)):
+            raise InvalidDescriptor(
+                f"not a waning or eventually-constant function: {self.f!r}"
+            )
         object.__setattr__(self, "avoid", nat_set(self.avoid))
 
 
@@ -91,8 +96,8 @@ class UBasic:
 class WNbhd:
     """Principal neighbourhood of g: agree with g below r and hit at most
     f(|g|) image points in range(r) outside im(g).  Raises DomainError unless
-    r is a natural, and InvalidDescriptor unless f is a WaningFn and r is
-    valid, that is r >= valid_r_min(f, g)."""
+    r is a natural, and InvalidDescriptor unless f is a WaningFn, g is a
+    PBij and r is valid, that is r >= valid_r_min(f, g)."""
 
     f: WaningFn
     g: PBij
@@ -102,6 +107,8 @@ class WNbhd:
         check_nat(self.r)
         if not isinstance(self.f, WaningFn):
             raise InvalidDescriptor(f"not a waning function: {self.f!r}")
+        if not isinstance(self.g, PBij):
+            raise InvalidDescriptor(f"not a partial bijection: {self.g!r}")
         if self.r < valid_r_min(self.f, self.g):
             raise InvalidDescriptor(
                 f"radius {self.r} is not valid for this neighbourhood"
@@ -149,13 +156,16 @@ class Intersection:
 
 @dataclass(frozen=True)
 class FixBelow:
-    """Elements agreeing with g on all sources below r."""
+    """Elements agreeing with g on all sources below r.  Raises
+    InvalidDescriptor unless g is a PBij."""
 
     g: PBij
     r: int
 
     def __post_init__(self):
         check_nat(self.r)
+        if not isinstance(self.g, PBij):
+            raise InvalidDescriptor(f"not a partial bijection: {self.g!r}")
 
 
 SetDescriptor = Union[

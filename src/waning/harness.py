@@ -13,20 +13,18 @@ members of a W or FixBelow set agree with g below r, an intersection takes a
 part's scope, and other kinds give the whole universe.  Membership in a
 descriptor reads only an element's image and its pairs with source below the
 descriptor's reach, so a check generates the classes of its scope under
-(pairs below R, image), R covering both reaches, and tests one
-representative per class; it lists and tests every element of a class only
-when the representative fails.  The continuity check's factors come from
-one reader of the sorted universe, ``_member_classes``: the check uses every
-element it keeps, and universe elements keep the lookups that a generated
-element would build again.  The check groups left factors once, by their
-pairs with source below max(p, r) and their image, and right factors by
-their values on the left classes' low targets and the sources they send
-below r outside im(a * b); it tests one product per class pair, and forms
-and tests every product of a class pair only when that product fails,
-reporting a failing one once per factor pair.  The d-map check builds the
-up-set of id_n from I_{B-n}, collapses each element once, and tests the
-product of each element with each of four generators of the up-set, which
-by induction on words makes the collapse multiplicative on every pair.
+(pairs below R, image), R covering both reaches, tests one representative
+per class, and reports a failing class whole.  The continuity check's
+factors come from one reader of the sorted universe, ``_member_classes``:
+the check uses every element it keeps, and universe elements keep the
+lookups that a generated element would build again.  The check groups left
+factors once, by their pairs with source below max(p, r) and their image,
+and right factors by their values on the left classes' low targets and the
+sources they send below r outside im(a * b); it tests one product per class
+pair, and when that product fails reports every product of the pair, once
+per factor pair.  The d-map check builds the up-set of id_n as the image of
+I_{B-n} under the shift, an isomorphism, and checks that the collapse
+inverts it.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ import os
 import random
 import time
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter, itemgetter, ne
@@ -59,7 +56,7 @@ from .functions import (
     enumerate_below,
     preceq,
 )
-from .pbij import EMPTY, PBij, collapse, product_pairs
+from .pbij import EMPTY, PBij, collapse
 from .serialize import descriptor_to_obj, dumps, fn_to_obj, pb_to_obj
 from .topology import Comparison, FinitePoset, PolishTopology, compare, embed_poset
 
@@ -206,21 +203,17 @@ def _failing(d1, d2, scopes, bound: int, fails) -> list[PBij]:
     """The elements h of the ``scopes`` (``de._reach`` triples) with
     ``fails(h in d1, h in d2)``, in universe order.  The scopes are disjoint.
     Each is split into classes by (pairs below R, image), R covering both
-    reaches, and only a class's representative is tested; the elements of a
-    class are listed, and each tested, only when its representative fails."""
-
-    def failed(h: PBij) -> bool:
-        return fails(de.member(d1, h), de.member(d2, h))
-
+    reaches; membership in either set is constant on a class, as it reads
+    only those, so a class's representative alone is tested, and when it
+    fails the class is listed whole."""
     _check_bound(bound)
     reach = max(de._reach(d1, bound)[2], de._reach(d2, bound)[2])
     found = []
     for below, r, _ in scopes:
         for elements in _scope_classes(below, r, reach, bound):
             rep = PBij._from_sorted(next(elements))
-            if failed(rep):
-                hs = itertools.chain((rep,), map(PBij._from_sorted, elements))
-                found += [h for h in hs if failed(h)]
+            if fails(de.member(d1, rep), de.member(d2, rep)):
+                found += [rep, *map(PBij._from_sorted, elements)]
     return sorted(found, key=_PAIRS)
 
 
@@ -329,9 +322,8 @@ def product_containment_check(
     classes, S(e)).  The left classes are the member classes of W(f, a, p)
     by (pairs below max(p, r), image), which refine the first key, so the
     left factors are grouped once.  A class pair whose tested product fails
-    has each of its products formed and tested, and a failing one is
-    reported as many times as the factor pairs that form it; ``cases``
-    still counts every factor pair.
+    has every product reported, once per factor pair that forms it;
+    ``cases`` still counts every factor pair.
     """
     started = time.perf_counter()
     c = a * b
@@ -353,16 +345,11 @@ def product_containment_check(
             tuple(x for x, y in e.pairs if y < r and not c.has_target(y)),
         ),
     )
-    products: Counter = Counter()
+    found = []
     for ds in left_classes:
         for es in right_classes:
             if not de.member(wc, ds[0] * es[0]):
-                products.update(product_pairs(d.pairs, e._map) for d in ds for e in es)
-    found = []
-    for pairs, times in products.items():
-        h = PBij._from_sorted(pairs)
-        if not de.member(wc, h):
-            found += [(label, h)] * times
+                found += [(label, d * e) for d in ds for e in es]
     cases = sum(map(len, left_classes)) * len(right)
     return _report("product-containment", cases, found, started)
 
@@ -614,60 +601,25 @@ def _dmap_cases(bound: int, seed: int, sample: int) -> list:
     return [0, 1, 2]
 
 
-def _dmap_generators(n: int, bound: int) -> list[PBij]:
-    """The lifts id_n + shift_n(s) of a transposition, an m-cycle and a
-    partial identity of rank m - 1, m = B - n >= 0, built as pairs.  They
-    generate I_m as a monoid (Howie 1995), and as a semigroup too, as the
-    square of the transposition is the identity; for m < 2 the
-    transposition and the cycle are the identity."""
-    points = list(range(bound))
-    swap = points[:n] + points[n : n + 2][::-1] + points[n + 2 :]
-    cycle = points[:n] + points[n + 1 :] + points[n : n + 1]
-    return [
-        PBij._from_sorted(tuple(enumerate(p)))
-        for p in (swap, cycle, points[: max(n, bound - 1)])
-    ]
-
-
 def _dmap_eval(bound: int, case) -> list[tuple[str, PBij]]:
-    """phi = collapse(id_n, .) must map U, the elements that extend id_n,
-    injectively and multiplicatively.  U is id_n + shift_n(k) for k in
-    I_{B-n}, in universe order, and empty when n > B; h * k extends id_n
-    when h and k do, so every product's image is a lookup.  phi is
-    multiplicative on U once phi(e) = id_{B-n} for e = id_B, and
-    phi(hs) = phi(h)phi(s) for each h in U and each s in S, the generators
-    of U from ``_dmap_generators``.  Proof, by induction on a word
-    k = e s_1 ... s_j in S: for j = 0, phi(he) = phi(h) = phi(h)id_{B-n}
-    = phi(h)phi(e), as phi maps into I_{B-n}; for k = k's,
-    phi(hk's) = phi(hk')phi(s) = phi(h)phi(k')phi(s) = phi(h)phi(k's), by
-    the check at h := hk', the induction and the check at h := k'.
-    Conversely an injective phi multiplicative on U is onto I_{B-n}, as
-    |U| = |I_{B-n}|, so phi(e) is its identity."""
+    """phi = collapse(id_n, .) must invert the shift s(k) = id_n + shift_n(k)
+    on I_{B-n}, whose image is U, the elements that extend id_n; U is built
+    as that image, in universe order, and is empty when n > B.  Each
+    h = s(k) with phi(h) != k is reported.  This decides that phi is an
+    isomorphism of U onto I_{B-n}: s is injective, and
+    s(h)s(k) = id_n + shift_n(h)shift_n(k) = s(hk), so s is a monoid
+    isomorphism of I_{B-n} onto U, and if phi(s(k)) = k for every k then
+    phi = s^-1, an isomorphism too."""
     n = case
     if n > bound:
         return []
     g = PBij.identity(n)
-    ups = [
-        PBij._from_sorted(g.pairs + tuple((x + n, y + n) for x, y in k.pairs))
-        for k in enumerate_universe(bound - n)
-    ]
-    label = dumps({"idempotent": pb_to_obj(g)})
-    image = {h.pairs: collapse(g, h) for h in ups}
-    gens = [(s._map, image[s.pairs]._map) for s in _dmap_generators(n, bound)]
+    label = dumps({"idempotent": pb_to_obj(g)}) + "#inverse"
     found = []
-    e = PBij.identity(bound)
-    if image[e.pairs] != PBij.identity(bound - n):
-        found.append((label + "#identity", e))
-    seen = set()
-    for h in ups:
-        dh = image[h.pairs].pairs
-        if dh in seen:
-            found.append((label + "#injective", h))
-        seen.add(dh)
-        for smap, dsmap in gens:
-            hs = product_pairs(h.pairs, smap)
-            if image[hs].pairs != product_pairs(dh, dsmap):
-                found.append((label + "#homomorphism", PBij._from_sorted(hs)))
+    for k in enumerate_universe(bound - n):
+        h = PBij._from_sorted(g.pairs + tuple((x + n, y + n) for x, y in k.pairs))
+        if collapse(g, h) != k:
+            found.append((label, h))
     return found
 
 

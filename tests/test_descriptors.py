@@ -110,6 +110,20 @@ def test_wnbhd_refuses_a_function_that_is_not_waning():
         WNbhd(GenFn(prefix=(2, 1)), EMPTY, 3)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: WNbhd(CONST_ZERO, [(0, 0)], 1), "not a partial bijection"),
+        (lambda: FixBelow([(0, 0)], 1), "not a partial bijection"),
+        (lambda: UBasic("x", 0, ()), "not a waning or eventually-constant function"),
+    ],
+    ids=["wnbhd-g", "fixbelow-g", "ubasic-f"],
+)
+def test_constructors_refuse_parts_of_the_wrong_type(build, message):
+    with pytest.raises(InvalidDescriptor, match=message):
+        build()
+
+
 def test_member_wany():
     d = Wany(2, [frozenset()])
     for h in enumerate_universe(4):
