@@ -15,7 +15,7 @@ explicit separating elements for the order and compactness results.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Union
 
@@ -42,7 +42,7 @@ from .pbij import PBij
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointHit:
     """Elements whose graph contains the pair (x, y)."""
 
@@ -53,7 +53,7 @@ class PointHit:
         check_nat(self.x, self.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DomMiss:
     """Elements whose domain avoids the point x."""
 
@@ -63,7 +63,7 @@ class DomMiss:
         check_nat(self.x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImMiss:
     """Elements whose image avoids the point x."""
 
@@ -73,7 +73,7 @@ class ImMiss:
         check_nat(self.x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UBasic:
     """Elements with at least n image points outside ``avoid`` and at most
     f(n) image points inside it.  Raises InvalidDescriptor unless f is a
@@ -92,7 +92,7 @@ class UBasic:
         object.__setattr__(self, "avoid", nat_set(self.avoid))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WNbhd:
     """Principal neighbourhood of g: agree with g below r and hit at most
     f(|g|) image points in range(r) outside im(g).  Raises DomainError unless
@@ -115,7 +115,7 @@ class WNbhd:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Wany:
     """Elements with domain clear of range(n) whose image misses some member
     of the family.  Raises InvalidDescriptor for an empty family."""
@@ -135,26 +135,28 @@ class Wany:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dual:
     """Image of the inner set under inversion."""
 
     inner: "SetDescriptor"
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _set_depth(self, (self.inner,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Intersection:
     parts: tuple["SetDescriptor", ...]
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, parts: Iterable["SetDescriptor"]):
         object.__setattr__(self, "parts", tuple(parts))
         _set_depth(self, self.parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixBelow:
     """Elements agreeing with g on all sources below r.  Raises
     InvalidDescriptor unless g is a PBij."""
@@ -179,8 +181,9 @@ def _set_depth(d: Union[Dual, Intersection], parts: tuple) -> None:
     """Store ``d.depth``, the most Dual and Intersection levels on a path
     down from d; refuse a part that is not a descriptor, and nesting past
     MAX_NESTING, where ``member``, ``_reach`` and the encoder would recurse
-    too deep.  Not a field, so ``==``, ``hash`` and ``repr`` ignore it.  A
-    plain loop: ``much_wan_witness`` builds an intersection per call."""
+    too deep.  A field without ``init`` or ``compare``: ``==``, ``hash``
+    and ``repr`` ignore it, and pickles and copies keep it.  A plain loop:
+    ``much_wan_witness`` builds an intersection per call."""
     depth = 0
     for part in parts:
         if isinstance(part, (Dual, Intersection)):

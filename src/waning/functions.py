@@ -68,7 +68,7 @@ def _check_extnat(value: ExtNat) -> ExtNat:
     raise DomainError(f"expected a natural or OMEGA, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenFn:
     """Eventually-constant function on the extended naturals.
 
@@ -92,7 +92,7 @@ class GenFn:
         return self.omega
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaningFn:
     """Canonical form of a waning function.
 
@@ -124,8 +124,6 @@ class WaningFn:
         """Fast path for a form the caller has shown canonical: a natural
         ``omega_prefix`` and a tuple of strictly decreasing positive ints."""
         self = object.__new__(cls)
-        # attribute by attribute, unlike a __dict__ update, keeps the compact
-        # per-instance storage that the checked constructor gives
         object.__setattr__(self, "omega_prefix", omega_prefix)
         object.__setattr__(self, "drops", drops)
         object.__setattr__(self, "const_omega", False)

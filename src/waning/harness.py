@@ -154,7 +154,7 @@ def _class_elements(head, targets, tail):
             yield head + tuple(zip(xs, ys))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckReport:
     name: str
     cases: int

@@ -10,22 +10,24 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Literal
 
 from .errors import DomainError, PreconditionError
-from .functions import check_nat
+from .functions import check_nat, nat_set
 
 
 @dataclass(frozen=True)
 class PBij:
     """A partial bijection whose only stored state is ``pairs``.
 
-    The lookups behind ``get``, ``has_target``, ``domain`` and ``image`` are
-    built on first use; equality, hashing, ``repr`` and pickles use ``pairs``.
+    Two more slots hold the lookups: ``_map``, the pairs as a dict, behind
+    ``get``, ``domain`` and products, and ``_image``, the targets as a
+    frozenset, behind ``has_target`` and ``image``.  Each is filled on first
+    use, so an element that is never looked up holds neither.  They are not
+    fields: equality, hashing, ``repr`` and pickles use ``pairs`` alone.
     """
 
-    __slots__ = ("pairs", "__dict__")  # pairs loads stay fast when __dict__ fills
+    __slots__ = ("pairs", "_map", "_image")
     pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, pairs: Iterable[Iterable[int]] = ()):
@@ -55,26 +57,49 @@ class PBij:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    @cached_property
-    def _map(self) -> dict[int, int]:
-        return dict(self.pairs)
+    # The hot readers load a slot inside ``try`` and fill it only when it is
+    # still empty: a slot load is specialised, a property call is not.
+    def _lookup(self) -> dict[int, int]:
+        """The pairs as a dict, filled into ``_map`` on first use."""
+        try:
+            return self._map
+        except AttributeError:
+            fwd = dict(self.pairs)
+            object.__setattr__(self, "_map", fwd)
+            return fwd
 
     def get(self, x: int, default=None):
-        return self._map.get(x, default)
+        try:
+            return self._map.get(x, default)
+        except AttributeError:
+            return self._lookup().get(x, default)
 
     def has_target(self, y: int) -> bool:
-        return y in self.image
+        try:
+            return y in self._image
+        except AttributeError:
+            return y in self.image
 
     @property
     def domain(self) -> frozenset[int]:
-        return frozenset(self._map)
+        return frozenset(self._lookup())
 
-    @cached_property
+    @property
     def image(self) -> frozenset[int]:
-        return frozenset(y for _, y in self.pairs)
+        """The targets, filled into ``_image`` on first use."""
+        try:
+            return self._image
+        except AttributeError:
+            image = frozenset(y for _, y in self.pairs)
+            object.__setattr__(self, "_image", image)
+            return image
 
     def __mul__(self, other: "PBij") -> "PBij":
-        return PBij._from_sorted(product_pairs(self.pairs, other._map))
+        try:
+            bmap = other._map
+        except AttributeError:
+            bmap = other._lookup()
+        return PBij._from_sorted(product_pairs(self.pairs, bmap))
 
     def inverse(self) -> "PBij":
         return PBij._from_sorted(tuple(sorted((y, x) for x, y in self.pairs)))
@@ -85,7 +110,8 @@ class PBij:
 
     def extends(self, other: "PBij") -> bool:
         """True when every pair of ``other`` is a pair of self."""
-        return all(self._map.get(x) == y for x, y in other.pairs)
+        fwd = self._lookup()
+        return all(fwd.get(x) == y for x, y in other.pairs)
 
     def __reduce__(self):
         return PBij._from_sorted, (self.pairs,)
@@ -99,8 +125,9 @@ EMPTY = PBij()
 
 
 def product_pairs(pairs: tuple, bmap: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    """The sorted pairs of ``a * b``, given ``a.pairs`` and ``b._map``: a's
-    pairs in source order, each target sent on through b where b is defined."""
+    """The sorted pairs of ``a * b``, given ``a.pairs`` and b's pairs as a
+    dict: a's pairs in source order, each target sent on through b where b
+    is defined."""
     out = []
     for x, y in pairs:
         if y in bmap:
@@ -114,7 +141,7 @@ def reindex(avoid: Iterable[int], x: int, direction: Literal["forward", "inverse
     ``forward`` sends ``x`` to the x-th natural (0-based) outside ``avoid``;
     ``inverse`` sends a natural outside ``avoid`` back to its rank.
     """
-    avoid = frozenset(avoid)
+    avoid = nat_set(avoid)
     check_nat(x)
     if direction == "forward":
         # each avoided point at or below the running value pushes it one up
@@ -140,7 +167,7 @@ def collapse(g: PBij, h: PBij) -> PBij:
     """
     if not h.extends(g):
         raise PreconditionError("h does not extend g")
-    g_map = g._map
+    g_map = g._lookup()
     dom_g = [x for x, _ in g.pairs]
     im_g = sorted(g.image)
     # a point's rank outside a sorted set is the point less the set's points

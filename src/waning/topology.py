@@ -22,12 +22,20 @@ from .functions import CONST_ZERO, WaningFn, join, preceq
 from .serialize import dumps, waning_to_obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolishTopology:
+    """The topology labelled by ``f`` on the direct side, or on the dual side
+    when ``dual`` is set.  Raises DomainError unless f is a WaningFn and
+    dual a bool."""
+
     f: WaningFn
     dual: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.f, WaningFn):
+            raise DomainError(f"not a waning function: {self.f!r}")
+        if not isinstance(self.dual, bool):
+            raise DomainError(f"dual must be a bool, got {self.dual!r}")
         # the two families share their top element; keep one spelling of it
         if self.dual and self.f == CONST_ZERO:
             object.__setattr__(self, "dual", False)
@@ -65,7 +73,7 @@ def join_topology(t1: PolishTopology, t2: PolishTopology) -> PolishTopology:
     return PolishTopology(CONST_ZERO)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinitePoset:
     """A partial order on string labels.  Raises DomainError for a label
     that is not a string, and InvalidPoset unless ``leq`` is reflexive,

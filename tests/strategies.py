@@ -97,12 +97,13 @@ def pointwise_leq(f, g, horizon: int) -> bool:
 
 def rebuilt(value):
     """``value`` built again through the public constructors, parts first,
-    so that every constructor check runs on it."""
+    so that every constructor check runs on it.  Only the fields that the
+    constructor takes are passed; the others, such as ``depth``, it sets."""
     if isinstance(value, tuple):
         return tuple(map(rebuilt, value))
     if not dataclasses.is_dataclass(value):
         return value
-    fields = dataclasses.fields(value)
+    fields = [f for f in dataclasses.fields(value) if f.init]
     return type(value)(**{f.name: rebuilt(getattr(value, f.name)) for f in fields})
 
 

@@ -721,6 +721,9 @@ def test_run_suite_rejects_bad_jobs():
         lambda: staircase(-1),
         lambda: descending_chain_element(-1),
         lambda: reindex({0}, 1.5),
+        lambda: reindex([1.5], 2),
+        lambda: reindex([-3], 2),
+        lambda: reindex([True], 2, "inverse"),
     ],
     ids=[
         "suite-bound-float",
@@ -738,6 +741,9 @@ def test_run_suite_rejects_bad_jobs():
         "staircase-negative",
         "chain-negative",
         "reindex-float",
+        "reindex-avoid-float",
+        "reindex-avoid-negative",
+        "reindex-avoid-bool",
     ],
 )
 def test_entry_points_refuse_non_naturals(call):

@@ -1,13 +1,19 @@
+import copy
+import dataclasses
 import json
+import pickle
 
 import pytest
 
 from waning import (
     CONST_OMEGA,
+    CONST_ZERO,
+    EMPTY,
     OMEGA,
     DomainError,
     Dual,
     DomMiss,
+    FinitePoset,
     FixBelow,
     GenFn,
     ImMiss,
@@ -19,6 +25,7 @@ from waning import (
     Wany,
     WaningFn,
     WNbhd,
+    subset_check,
 )
 from waning.descriptors import MAX_NESTING
 from waning.serialize import (
@@ -46,6 +53,65 @@ def test_value_round_trip():
     assert value_from_obj(value_to_obj(7)) == 7
     assert value_to_obj(OMEGA) == "omega"
     assert OMEGA != 3 and 3 != OMEGA and not (OMEGA != OMEGA)
+
+
+def _nested(value):
+    """value, then every value inside its fields and tuples, depth first."""
+    yield value
+    if isinstance(value, tuple):
+        for part in value:
+            yield from _nested(part)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _nested(getattr(value, field.name))
+
+
+def test_values_round_trip_through_pickle_and_copy():
+    looked_up = PBij([(3, 1), (0, 2)])
+    assert looked_up.get(0) == 2 and looked_up.has_target(1)  # both lookups
+    f = WaningFn(omega_prefix=1, drops=(3, 1))
+    gen = GenFn(prefix=(1, OMEGA), tail=0, omega=OMEGA)
+    leaves = (
+        PointHit(0, 1),
+        DomMiss(2),
+        ImMiss(3),
+        UBasic(gen, 1, {0, 4}),
+        WNbhd(f, looked_up, 4),
+        Wany(1, [[2], [3, 5]]),
+        FixBelow(looked_up, 2),
+    )
+    nested = Intersection((Dual(Intersection(leaves)), Dual(Dual(DomMiss(0)))))
+    assert nested.depth == 3
+    values = (
+        looked_up,
+        EMPTY,
+        f,
+        CONST_OMEGA,
+        CONST_ZERO,
+        gen,
+        *leaves,
+        nested,
+        PolishTopology(f, dual=True),
+        FinitePoset(["a", "b"], [("a", "a"), ("b", "b"), ("a", "b")]),
+        subset_check(DomMiss(0), ImMiss(0), 2),
+    )
+    for value in values:
+        copies = (
+            pickle.loads(pickle.dumps(value)),
+            copy.copy(value),
+            copy.deepcopy(value),
+        )
+        for twin in copies:
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+            assert repr(twin) == repr(value)
+            for a, b in zip(_nested(twin), _nested(value)):
+                # depth is no compared field, so equality does not cover it
+                assert getattr(a, "depth", 0) == getattr(b, "depth", 0)
+                assert not hasattr(a, "__dict__") and not hasattr(b, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(looked_up)), copy.deepcopy(looked_up)):
+        assert twin.get(3) == 1 and twin.has_target(2) and not twin.has_target(0)
+        assert twin.domain == {0, 3} and twin.image == {1, 2}
 
 
 def test_pb_round_trip():

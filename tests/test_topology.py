@@ -10,6 +10,7 @@ from waning import (
     Comparison,
     DomainError,
     FinitePoset,
+    GenFn,
     InvalidPoset,
     PolishTopology,
     WaningFn,
@@ -25,6 +26,19 @@ from waning import (
 
 def test_dual_top_canonicalizes():
     assert PolishTopology(CONST_ZERO, dual=True) == PolishTopology(CONST_ZERO)
+
+
+def test_topology_refuses_a_label_that_is_not_waning():
+    with pytest.raises(DomainError, match="not a waning function"):
+        PolishTopology(GenFn())
+
+
+@pytest.mark.parametrize("dual", ["yes", 1, None])
+def test_topology_refuses_a_side_that_is_not_a_bool(dual):
+    # a truthy label that is not True would make a topology incomparable
+    # with itself, as compare tests the sides with ==
+    with pytest.raises(DomainError, match="dual must be a bool"):
+        PolishTopology(WaningFn(drops=(1,)), dual)
 
 
 def test_compare_examples():
