@@ -73,7 +73,7 @@ def universe_size(bound: int) -> int:
 
 
 def _check_bound(bound: int) -> None:
-    check_nat(bound)
+    check_nat(bound, name="bound")
     if bound > MAX_BOUND:
         raise BoundTooLarge(f"bound {bound} exceeds the maximum {MAX_BOUND}")
 
@@ -869,7 +869,9 @@ def run_suite(
     build, evaluate, default_bound, default_sample = _SUITES[name]
     bound = default_bound if bound is None else bound
     sample = default_sample if sample is None else sample
-    check_nat(bound, name="bound")
+    # every suite, even one that reads no universe, refuses a bound past
+    # MAX_BOUND: the cost of dual grows with the square of the bound
+    _check_bound(bound)
     check_nat(sample, name="sample")
     check_nat(jobs, name="jobs")
     if sample > SIZE_LIMIT:

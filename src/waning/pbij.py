@@ -99,7 +99,14 @@ class PBij:
             bmap = other._map
         except AttributeError:
             bmap = other._lookup()
-        return PBij._from_sorted(product_pairs(self.pairs, bmap))
+        # self's pairs in source order, each target sent on through other
+        # where other is defined: the product's pairs, already sorted.  An
+        # explicit loop, which CPython 3.11 runs faster than a generator.
+        out = []
+        for x, y in self.pairs:
+            if y in bmap:
+                out.append((x, bmap[y]))
+        return PBij._from_sorted(tuple(out))
 
     def inverse(self) -> "PBij":
         return PBij._from_sorted(tuple(sorted((y, x) for x, y in self.pairs)))
@@ -122,17 +129,6 @@ class PBij:
 
 
 EMPTY = PBij()
-
-
-def product_pairs(pairs: tuple, bmap: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    """The sorted pairs of ``a * b``, given ``a.pairs`` and b's pairs as a
-    dict: a's pairs in source order, each target sent on through b where b
-    is defined."""
-    out = []
-    for x, y in pairs:
-        if y in bmap:
-            out.append((x, bmap[y]))
-    return tuple(out)
 
 
 def reindex(avoid: Iterable[int], x: int, direction: Literal["forward", "inverse"] = "forward") -> int:

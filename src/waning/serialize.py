@@ -113,8 +113,10 @@ def fn_to_obj(f) -> dict:
 
 
 def fn_from_obj(obj: Any):
-    """Accept either encoding; the key set discriminates."""
-    if isinstance(obj, dict) and ("prefix" in obj or "tail" in obj):
+    """Accept either encoding.  An object with any of ``prefix``, ``tail`` or
+    ``omega`` is a ``GenFn``, each key having a default; any other object is
+    a ``WaningFn``, read from ``const``, ``omega_prefix`` and ``drops``."""
+    if isinstance(obj, dict) and obj.keys() & {"prefix", "tail", "omega"}:
         return genfn_from_obj(obj)
     return waning_from_obj(obj)
 
@@ -202,7 +204,15 @@ def poset_from_obj(obj: Any):
     if not isinstance(obj, dict):
         raise DomainError(f"expected a poset object, got {obj!r}")
     _check_keys(obj, "elements", "leq")
-    return FinitePoset(obj.get("elements", []), obj.get("leq", []))
+    # a JSON string is iterable, and would be read as a list of labels
+    elements, leq = obj.get("elements", []), obj.get("leq", [])
+    if not isinstance(elements, list):
+        raise DomainError(f"expected an array of labels, got {elements!r}")
+    if not isinstance(leq, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in leq
+    ):
+        raise DomainError(f"expected an array of label pairs, got {leq!r}")
+    return FinitePoset(elements, leq)
 
 
 def dumps(obj: Any) -> str:

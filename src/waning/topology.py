@@ -107,6 +107,11 @@ class FinitePoset:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "leq", leq)
 
+    def __repr__(self) -> str:
+        # the pairs sorted: a frozenset's order is no part of its value, and
+        # equal posets, such as a poset and its unpickled copy, can differ in it
+        return f"FinitePoset(elements={self.elements!r}, leq={sorted(self.leq)!r})"
+
     def le(self, a: str, b: str) -> bool:
         return (a, b) in self.leq
 

@@ -7,7 +7,7 @@ import signal
 import hypothesis.strategies as st
 import pytest
 
-from waning import OMEGA, GenFn, PBij, WaningFn, is_omega, valid_r_min
+from waning import OMEGA, GenFn, PBij, WaningFn, collapse, is_omega, valid_r_min
 from waning.descriptors import (
     DomMiss,
     Dual,
@@ -112,6 +112,15 @@ def assert_rebuilds(value):
     rebuild must succeed and be the same value."""
     copy = rebuilt(value)
     assert copy == value and hash(copy) == hash(value)
+
+
+def swap_conjugate(g, h):
+    """A deliberate fault for ``collapse``: collapse conjugated by the
+    transposition (0 1).  Injective and multiplicative, and an automorphism
+    of I_{B-n} once B - n >= 2, but not the inverse of the shift once
+    B - n >= 1."""
+    t = {0: 1, 1: 0}
+    return PBij([(t.get(x, x), t.get(y, y)) for x, y in collapse(g, h).pairs])
 
 
 @contextlib.contextmanager

@@ -9,7 +9,10 @@ import itertools
 import os
 import time
 
+import pytest
+
 from strategies import closure_closed_form, pointwise_leq
+from test_mutants import MUTANTS
 from waning import (
     CONST_ZERO,
     OMEGA,
@@ -208,3 +211,17 @@ def test_criterion_12_dual_symmetry():
     _suite_criterion(
         "12", "cross-family incomparability", 10.0, "dual", bound=4, seed=1, sample=50
     )
+
+
+def test_criterion_13_mutant_gate():
+    # every deliberate fault of tests/test_mutants.py fails its check
+    started = time.perf_counter()
+    escaped = []
+    for fault, check in MUTANTS:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            fault(monkeypatch)
+            if check():
+                escaped.append(fault.__name__)
+    if escaped:
+        print(f"faults no check caught: {escaped}")
+    _finish("13", "mutant gate", started, 5.0, not escaped)

@@ -9,7 +9,7 @@ import waning
 import waning.cli as cli
 from strategies import deadline
 from waning.cli import main
-from waning.harness import run_suite
+from waning.harness import MAX_BOUND, run_suite
 
 
 def run(capsys, *argv):
@@ -490,6 +490,24 @@ def test_verify_refuses_a_sample_above_the_size_limit(capsys):
     code, out, err = run(
         capsys, "verify", "--suite", "chains", "--sample", str(waning.SIZE_LIMIT + 1), "--jobs", "1"
     )
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_embed_refuses_a_string_for_the_elements(capsys, tmp_path):
+    poset = tmp_path / "poset.json"
+    poset.write_text('{"elements":"ab","leq":[["a","a"],["b","b"]]}')
+    code, out, err = run(capsys, "embed", "--poset", str(poset))
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_eval_reads_an_omega_only_object_as_a_genfn(capsys):
+    code, out, _ = run(capsys, "eval", "--f", '{"omega":"omega"}', "--n", "omega")
+    assert code == 0 and json.loads(out) == "omega"
+
+
+def test_verify_refuses_a_bound_above_the_maximum(capsys):
+    bound = str(MAX_BOUND + 1)
+    code, out, err = run(capsys, "verify", "--suite", "dual", "--bound", bound, "--jobs", "1")
     assert code == 1 and out == "" and err.startswith("error:")
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import deadline, descriptors, pbijs
+from strategies import deadline, descriptors, pbijs, swap_conjugate
 from waning import (
     CONST_OMEGA,
     CONST_ZERO,
@@ -45,7 +45,7 @@ from waning import (
 from waning import descriptors as de
 from waning import harness
 from waning.descriptors import DomMiss, Dual, Intersection, Wany
-from waning.serialize import fn_to_obj, pb_to_obj
+from waning.serialize import dumps, fn_to_obj, pb_to_obj
 from waning.topology import Comparison, FinitePoset, compare
 
 
@@ -243,6 +243,19 @@ def test_scans_refuse_bounds_outside_the_universe(check, d):
         check(d, d, harness.MAX_BOUND + 1)
 
 
+@pytest.mark.parametrize("name", suite_names())
+def test_every_suite_refuses_a_bound_above_the_maximum(name, monkeypatch):
+    # refused before any case is built: dual would otherwise run, at a cost
+    # that grows with the square of the bound
+    def no_cases(*args):
+        raise AssertionError("cases built")
+
+    _, *rest = harness._SUITES[name]
+    monkeypatch.setitem(harness._SUITES, name, (no_cases, *rest))
+    with pytest.raises(BoundTooLarge, match="exceeds the maximum"):
+        run_suite(name, bound=harness.MAX_BOUND + 1, jobs=1)
+
+
 def test_product_containment_refuses_bounds_outside_the_universe():
     a = b = PBij([(0, 0)])
     with pytest.raises(DomainError):
@@ -384,14 +397,6 @@ def _swap_rank_one(g, h):
     return {a: b, b: a}.get(d, d)
 
 
-def _swap_conjugate(g, h):
-    # collapse conjugated by the transposition (0 1): injective and
-    # multiplicative, and an automorphism of I_{B-n} once B - n >= 2, but
-    # not the inverse of the shift once B - n >= 1
-    t = {0: 1, 1: 0}
-    return PBij([(t.get(x, x), t.get(y, y)) for x, y in collapse(g, h).pairs])
-
-
 @pytest.mark.parametrize(
     "faulty",
     [
@@ -399,7 +404,7 @@ def _swap_conjugate(g, h):
         lambda g, h: collapse(g, h).inverse(),
         lambda g, h: EMPTY,
         _swap_rank_one,
-        _swap_conjugate,
+        swap_conjugate,
     ],
     ids=["collapse", "inverse", "empty", "swap-rank-one", "swap-conjugate"],
 )
@@ -410,7 +415,7 @@ def test_dmap_generator_check_matches_all_pairs(monkeypatch, faulty):
             ok = not harness._dmap_eval(bound, n)
             reference = _dmap_all_pairs_ok(n, bound)
             assert reference or not ok, (bound, n)
-            if faulty is _swap_conjugate:
+            if faulty is swap_conjugate:
                 assert reference and ok == (bound - n < 1), (bound, n)
             else:
                 assert ok == reference, (bound, n)
@@ -583,14 +588,19 @@ def _unrestorable():
 
 
 def test_counterexamples_come_back_from_workers(monkeypatch):
+    # a named fault makes d-map fail; of its cases n = 0, 1, 2 the forked
+    # child of two workers evaluates n = 1, which fails
+    monkeypatch.setattr(harness, "collapse", swap_conjugate)
+    monkeypatch.setattr(harness, "available_cpus", lambda: 2)
     # a PBij need not unpickle: only builtins cross the pipe from a child
     monkeypatch.setattr(PBij, "__reduce__", lambda self: (_unrestorable, ()))
-    serial = run_suite("continuity", bound=4, seed=10, jobs=1).to_obj()
+    serial = run_suite("d-map", bound=4, jobs=1).to_obj()
     with deadline(20):
-        parallel = run_suite("continuity", bound=4, seed=10, jobs=2).to_obj()
+        parallel = run_suite("d-map", bound=4, jobs=2).to_obj()
     del serial["ms"], parallel["ms"]
     assert parallel == serial
-    assert len(serial["counterexamples"]) == 222
+    from_child = dumps({"idempotent": [[0, 0]]}) + "#inverse"
+    assert from_child in {c["inputs"] for c in serial["counterexamples"]}
 
 
 def test_run_suite_caps_workers(monkeypatch):

@@ -1,0 +1,127 @@
+"""Deliberate faults, each caught by a cheap check.
+
+Each case patches one named fault into the library, runs the cheapest check
+that should catch it, at a bound of 5 or less, and asserts that the check
+fails; the unpatched library passes the same check, so no case passes
+because its check always fails.  A fault that no check catches is a finding,
+and gets a check here.  ``continuity_p`` without ``max(p, r)`` is not a case:
+that formula is the one in use.
+"""
+
+import itertools
+
+import pytest
+
+from strategies import swap_conjugate
+from waning import (
+    Dual,
+    ImMiss,
+    Intersection,
+    InvalidDescriptor,
+    WaningFn,
+    WNbhd,
+    closure,
+    enumerate_universe,
+    member,
+    run_suite,
+    waning_sample,
+)
+from waning import descriptors as de
+from waning import harness
+
+
+def _basis_refinement_one_less(monkeypatch):
+    real = de.basis_refinement
+
+    def fault(f, n, avoid, g):
+        # still a valid radius, so the neighbourhood is still built
+        return max(real(f, n, avoid, g) - 1, de.valid_r_min(f, g))
+
+    monkeypatch.setattr(de, "basis_refinement", fault)
+
+
+def _closure_drops_its_last_drop(monkeypatch):
+    def fault(f):
+        w = closure(f)
+        return w if w.const_omega else WaningFn(w.omega_prefix, w.drops[:-1])
+
+    monkeypatch.setattr(harness, "closure", fault)
+    monkeypatch.setattr(de, "closure", fault)
+
+
+def _collapse_swap_conjugate(monkeypatch):
+    monkeypatch.setattr(harness, "collapse", swap_conjugate)
+
+
+def _dual_reach_zero(monkeypatch):
+    real = de._reach
+    monkeypatch.setattr(
+        de,
+        "_reach",
+        lambda d, bound: ((), 0, 0) if isinstance(d, Dual) else real(d, bound),
+    )
+
+
+def _scope_classes_ignore_reach(monkeypatch):
+    real = harness._scope_classes
+    monkeypatch.setattr(
+        harness,
+        "_scope_classes",
+        lambda below, r, reach, bound: real(below, r, r, bound),
+    )
+
+
+def _valid_r_min_one_too_high(monkeypatch):
+    real = de.valid_r_min
+    monkeypatch.setattr(de, "valid_r_min", lambda f, g: real(f, g) + 1)
+
+
+def _suite_passes(name, bound):
+    return lambda: run_suite(name, bound=bound, seed=1, jobs=1).ok
+
+
+# everything, and the elements without 0 in their domain: the second reads
+# h(0), through the inverse, which its image does not show
+EVERYTHING, NO_SOURCE_0 = Intersection(()), Dual(ImMiss(0))
+
+
+def _class_scan_matches_a_naive_scan():
+    bound = 3
+    naive = [h for h in enumerate_universe(bound) if not member(NO_SOURCE_0, h)]
+    return harness._escapes(EVERYTHING, NO_SOURCE_0, bound) == naive
+
+
+def _least_valid_radii_admitted():
+    """WNbhd admits the least radius r with f(r) <= f(|g|) = f(|g below r|),
+    for every f of the sample and g in I_3.  Valid radii are closed upwards,
+    so a radius one too high passes the basis, much-wan and order suites."""
+    for f in waning_sample():
+        for g in enumerate_universe(3):
+            r = next(
+                r for r in itertools.count()
+                if f(r) <= f(len(g)) == f(len(g.restrict(r)))
+            )
+            try:
+                WNbhd(f, g, r)
+            except InvalidDescriptor:
+                return False
+    return True
+
+
+MUTANTS = [
+    (_basis_refinement_one_less, _suite_passes("basis", 3)),
+    (_closure_drops_its_last_drop, _suite_passes("much-wan", 3)),
+    (_collapse_swap_conjugate, _suite_passes("d-map", 3)),
+    (_dual_reach_zero, _class_scan_matches_a_naive_scan),
+    (_scope_classes_ignore_reach, _class_scan_matches_a_naive_scan),
+    (_valid_r_min_one_too_high, _least_valid_radii_admitted),
+]
+
+
+@pytest.mark.parametrize(
+    "fault, check", MUTANTS, ids=[fault.__name__.lstrip("_") for fault, _ in MUTANTS]
+)
+def test_check_catches_fault(monkeypatch, fault, check):
+    assert check()
+    fault(monkeypatch)
+    assert not check()

@@ -136,6 +136,8 @@ def test_fn_from_obj_discriminates():
     assert isinstance(fn_from_obj({"prefix": [1], "tail": 0, "omega": 0}), GenFn)
     assert isinstance(fn_from_obj({"omega_prefix": 0, "drops": [2]}), WaningFn)
     assert isinstance(fn_from_obj({"const": "omega"}), WaningFn)
+    # prefix and tail have defaults, so omega alone is a GenFn too
+    assert fn_from_obj({"omega": "omega"}) == GenFn(omega=OMEGA)
 
 
 def test_descriptor_round_trip_all_tags():
@@ -203,6 +205,23 @@ def test_poset_from_obj():
 )
 def test_poset_labels_must_be_strings(obj):
     with pytest.raises(DomainError, match="labels must be strings"):
+        poset_from_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        # a string is iterable: "ab" would be the labels a and b, and the
+        # leq entry "ab" the pair (a, b)
+        {"elements": "ab", "leq": [["a", "a"], ["b", "b"]]},
+        {"elements": ["a", "b"], "leq": [["a", "a"], ["b", "b"], "ab"]},
+        {"elements": ["a"], "leq": [["a", "a", "a"]]},
+        {"elements": ["a"], "leq": "aa"},
+    ],
+    ids=["elements-string", "leq-entry-string", "leq-entry-triple", "leq-string"],
+)
+def test_poset_arrays_must_be_arrays(obj):
+    with pytest.raises(DomainError, match="expected an array"):
         poset_from_obj(obj)
 
 

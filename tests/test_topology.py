@@ -124,6 +124,14 @@ def antichain_poset():
     return FinitePoset(["a", "b"], [("a", "a"), ("b", "b")])
 
 
+def test_poset_repr_is_a_function_of_the_value():
+    p = FinitePoset(["a", "b"], [("b", "b"), ("a", "b"), ("a", "a")])
+    text = "FinitePoset(elements=('a', 'b'), leq=[('a', 'a'), ('a', 'b'), ('b', 'b')])"
+    assert repr(p) == text
+    # the constructor reads the repr back
+    assert eval(text) == p
+
+
 def test_poset_validation():
     with pytest.raises(InvalidPoset):
         FinitePoset(["a", "a"], [("a", "a")])
