@@ -205,15 +205,6 @@ def _agrees_below(h: PBij, g: PBij, r: int) -> bool:
     return bisect_left(h.pairs, (r,)) == k and h.pairs[:k] == g.pairs[:k]
 
 
-def _ubasic_member(f, n: int, avoid: frozenset[int], h: PBij) -> bool:
-    """Membership of h in ``UBasic(f, n, avoid)``."""
-    inside = 0
-    for _, y in h.pairs:
-        if y in avoid:
-            inside += 1
-    return len(h.pairs) - inside >= n and inside <= f(n)
-
-
 def member(d: SetDescriptor, h: PBij) -> bool:
     """Exact membership of a finite partial bijection in the described set."""
     if isinstance(d, PointHit):
@@ -223,7 +214,11 @@ def member(d: SetDescriptor, h: PBij) -> bool:
     if isinstance(d, ImMiss):
         return not h.has_target(d.x)
     if isinstance(d, UBasic):
-        return _ubasic_member(d.f, d.n, d.avoid, h)
+        inside = 0
+        for _, y in h.pairs:
+            if y in d.avoid:
+                inside += 1
+        return len(h.pairs) - inside >= d.n and inside <= d.f(d.n)
     if isinstance(d, WNbhd):
         if not _agrees_below(h, d.g, d.r):
             return False
@@ -246,7 +241,7 @@ def member(d: SetDescriptor, h: PBij) -> bool:
     raise InvalidDescriptor(f"not a descriptor: {d!r}")
 
 
-def _reach(d: SetDescriptor, bound: int) -> tuple[tuple, int, int]:
+def _reach(d: SetDescriptor) -> tuple[tuple, int, int]:
     """(P, r, R): the members of ``d`` lie in the scope (P, r), the elements
     whose pairs with source below r are exactly P, and ``member(d, h)``
     reads only im(h) and h's pairs with source below R.
@@ -257,12 +252,12 @@ def _reach(d: SetDescriptor, bound: int) -> tuple[tuple, int, int]:
     disjoint, the larger r the inner one when nested (``harness._mismatches``).
     Other kinds take the whole universe, ((), 0): a U or ImMiss set reads
     the image, a point or domain test at x reads h(x), a Wany set whether a
-    source lies below n and the image, and a dual ``bound``, all of h.
+    source lies below n and the image, and a dual every pair (reach ω).
     """
     if isinstance(d, (WNbhd, FixBelow)):
         return d.g.pairs[: bisect_left(d.g.pairs, (d.r,))], d.r, d.r
     if isinstance(d, Intersection):
-        parts = [_reach(part, bound) for part in d.parts]
+        parts = [_reach(part) for part in d.parts]
         below, r, _ = max(parts, key=itemgetter(1), default=((), 0, 0))
         return below, r, max((reach for _, _, reach in parts), default=0)
     if isinstance(d, (UBasic, ImMiss)):
@@ -272,7 +267,7 @@ def _reach(d: SetDescriptor, bound: int) -> tuple[tuple, int, int]:
     if isinstance(d, Wany):
         return (), 0, d.n
     if isinstance(d, Dual):
-        return (), 0, bound
+        return (), 0, OMEGA
     raise InvalidDescriptor(f"not a descriptor: {d!r}")
 
 
@@ -308,15 +303,14 @@ def basis_refinement(f: WaningFn, n: int, avoid: Iterable[int], g: PBij) -> int:
     The second clause holds from one past the source of the n-th pair of g
     whose target is outside ``avoid``; g is a member, so that pair exists.
     """
-    check_nat(n)
-    avoid = nat_set(avoid)
-    if not _ubasic_member(f, n, avoid, g):
+    basic = UBasic(f, n, avoid)
+    if not member(basic, g):
         raise NotMember("base point is outside the basic set")
     r = valid_r_min(f, g)
-    if avoid:
-        r = max(r, max(avoid) + 1)
+    if basic.avoid:
+        r = max(r, max(basic.avoid) + 1)
     if n:
-        shown = [x for x, y in g.pairs if y not in avoid]
+        shown = [x for x, y in g.pairs if y not in basic.avoid]
         r = max(r, shown[n - 1] + 1)
     return r
 
@@ -363,16 +357,15 @@ def tfprime_refinement(
     ``avoid``, the sources of g hitting it, and the first n sources of g
     missing it.
     """
-    check_nat(n)
-    avoid = nat_set(avoid)
-    if not _ubasic_member(f, n, avoid, g):
+    basic = UBasic(f, n, avoid)
+    if not member(basic, g):
         raise NotMember("base point is outside the basic set")
     fp = closure(f)
     if fp(len(g.pairs)) > 0:
-        return UBasic(fp, n, avoid)
-    hit_sources = [x for x, y in g.pairs if y in avoid]
-    miss_sources = [x for x, y in g.pairs if y not in avoid][:n]
-    r = max([valid_r_min(fp, g) - 1, *avoid, *hit_sources, *miss_sources]) + 1
+        return UBasic(fp, n, basic.avoid)
+    hit_sources = [x for x, y in g.pairs if y in basic.avoid]
+    miss_sources = [x for x, y in g.pairs if y not in basic.avoid][:n]
+    r = max([valid_r_min(fp, g) - 1, *basic.avoid, *hit_sources, *miss_sources]) + 1
     return WNbhd(fp, g, r)
 
 

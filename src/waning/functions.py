@@ -110,6 +110,8 @@ class WaningFn:
         drops = tuple(self.drops)
         object.__setattr__(self, "drops", drops)
         check_nat(self.omega_prefix, *drops)
+        if not isinstance(self.const_omega, bool):
+            raise DomainError(f"const_omega must be a bool, got {self.const_omega!r}")
         if self.const_omega:
             if self.omega_prefix or drops:
                 raise DomainError("constant-omega form carries no finite data")

@@ -207,7 +207,7 @@ def _failing(d1, d2, scopes, bound: int, fails) -> list[PBij]:
     only those, so a class's representative alone is tested, and when it
     fails the class is listed whole."""
     _check_bound(bound)
-    reach = max(de._reach(d1, bound)[2], de._reach(d2, bound)[2])
+    reach = max(de._reach(d1)[2], de._reach(d2)[2])
     found = []
     for below, r, _ in scopes:
         for elements in _scope_classes(below, r, reach, bound):
@@ -219,7 +219,7 @@ def _failing(d1, d2, scopes, bound: int, fails) -> list[PBij]:
 
 def _escapes(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[PBij]:
     """Universe elements in the first set but not the second."""
-    return _failing(d1, d2, [de._reach(d1, bound)], bound, lambda a, b: a and not b)
+    return _failing(d1, d2, [de._reach(d1)], bound, lambda a, b: a and not b)
 
 
 def _mismatches(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[PBij]:
@@ -232,7 +232,7 @@ def _mismatches(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[
     scope lies inside the first.  So the first alone is scanned when P2's
     pairs below r1 are P1, and otherwise both, which share no element.
     """
-    wide, narrow = sorted((de._reach(d, bound) for d in (d1, d2)), key=itemgetter(1))
+    wide, narrow = sorted((de._reach(d) for d in (d1, d2)), key=itemgetter(1))
     (p1, r1, _), (p2, _, _) = wide, narrow
     nested = p2[: bisect_left(p2, (r1,))] == p1
     return _failing(d1, d2, [wide] if nested else [wide, narrow], bound, ne)
@@ -285,7 +285,7 @@ def _member_classes(
     R fix; so only each class's first element is tested.
     """
     us = enumerate_universe(bound)
-    below, r, own = de._reach(d, bound)
+    below, r, own = de._reach(d)
     at = bisect_left(us, below, key=_PAIRS)
     exact = us[at : at + 1] if at < len(us) and us[at].pairs == below else ()
     start = bisect_left(us, below + ((r,),), key=_PAIRS)

@@ -52,6 +52,7 @@ class PBij:
 
     @classmethod
     def identity(cls, n: int) -> "PBij":
+        check_nat(n)
         return cls._from_sorted(tuple((i, i) for i in range(n)))
 
     def __len__(self) -> int:
@@ -113,6 +114,7 @@ class PBij:
 
     def restrict(self, r: int) -> "PBij":
         """Keep exactly the pairs whose source is below ``r``."""
+        check_nat(r)
         return PBij._from_sorted(tuple(p for p in self.pairs if p[0] < r))
 
     def extends(self, other: "PBij") -> bool:

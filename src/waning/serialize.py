@@ -204,15 +204,7 @@ def poset_from_obj(obj: Any):
     if not isinstance(obj, dict):
         raise DomainError(f"expected a poset object, got {obj!r}")
     _check_keys(obj, "elements", "leq")
-    # a JSON string is iterable, and would be read as a list of labels
-    elements, leq = obj.get("elements", []), obj.get("leq", [])
-    if not isinstance(elements, list):
-        raise DomainError(f"expected an array of labels, got {elements!r}")
-    if not isinstance(leq, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 for pair in leq
-    ):
-        raise DomainError(f"expected an array of label pairs, got {leq!r}")
-    return FinitePoset(elements, leq)
+    return FinitePoset(obj.get("elements", []), obj.get("leq", []))
 
 
 def dumps(obj: Any) -> str:

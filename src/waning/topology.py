@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InvalidPoset
 from .functions import CONST_ZERO, WaningFn, join, preceq
@@ -75,14 +75,22 @@ def join_topology(t1: PolishTopology, t2: PolishTopology) -> PolishTopology:
 
 @dataclass(frozen=True, slots=True)
 class FinitePoset:
-    """A partial order on string labels.  Raises DomainError for a label
-    that is not a string, and InvalidPoset unless ``leq`` is reflexive,
-    antisymmetric and transitive on the elements."""
+    """A partial order on string labels.  Raises DomainError unless
+    ``elements`` and ``leq`` are lists or tuples, each ``leq`` entry a list
+    or tuple of two labels and every label a string, and InvalidPoset unless
+    ``leq`` is reflexive, antisymmetric and transitive on the elements."""
 
     elements: tuple[str, ...]
     leq: frozenset[tuple[str, str]]
 
-    def __init__(self, elements: Iterable[str], leq: Iterable[tuple[str, str]]):
+    def __init__(self, elements: Sequence[str], leq: Sequence[Sequence[str]]):
+        # a string is iterable, and would be read as a list of labels or a pair
+        if not isinstance(elements, (list, tuple)):
+            raise DomainError(f"expected an array of labels, got {elements!r}")
+        if not isinstance(leq, (list, tuple)) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in leq
+        ):
+            raise DomainError(f"expected an array of label pairs, got {leq!r}")
         elements, pairs = tuple(elements), tuple(leq)
         for label in (*elements, *(label for pair in pairs for label in pair)):
             if not isinstance(label, str):

@@ -151,7 +151,7 @@ def test_parts_that_are_not_descriptors_refused_at_construction():
     "call",
     [
         lambda d: member(d, EMPTY),
-        lambda d: _reach(d, 3),
+        _reach,
         descriptor_to_obj,
         lambda d: subset_check(d, DomMiss(0), 2),
         lambda d: subset_check(DomMiss(0), d, 2),
@@ -165,6 +165,19 @@ def test_values_that_are_not_descriptors_refused(call, value):
         call(value)
 
 
+def test_dual_reaches_every_pair():
+    # the scans clamp the reach to their bound
+    assert _reach(Dual(ImMiss(0)))[2] == OMEGA
+    assert _reach(Intersection((DomMiss(1), Dual(ImMiss(0)))))[2] == OMEGA
+
+
+@pytest.mark.parametrize("refine", [basis_refinement, tfprime_refinement])
+def test_refinements_refuse_a_function_that_is_not_one(refine):
+    # the basic set is built first, and its constructor checks f
+    with pytest.raises(InvalidDescriptor, match="not a waning"):
+        refine("x", 0, [], EMPTY)
+
+
 @pytest.mark.parametrize(
     "nest", [Dual, lambda d: Intersection((ImMiss(1), d))], ids=["dual", "and"]
 )
@@ -174,7 +187,7 @@ def test_deepest_descriptors_run_and_deeper_are_refused(nest):
         d = nest(d)
     assert d.depth == MAX_NESTING
     assert member(d, pb((1, 2)))
-    _reach(d, 2)
+    _reach(d)
     repr(d)
     hash(d)
     assert descriptor_from_obj(descriptor_to_obj(d)) == d

@@ -310,6 +310,11 @@ def test_non_integer_entries_rejected_not_truncated(kwargs):
         ({"drops": (2, 0)}, "stay positive"),
         ({"drops": (1, 2)}, "not strictly decreasing"),
         ({"drops": (2, 2)}, "not strictly decreasing"),
+        # 'yes' printed as WaningFn(OMEGA) yet differed from CONST_OMEGA, and
+        # 0 equalled CONST_ZERO
+        ({"const_omega": "yes"}, "must be a bool"),
+        ({"const_omega": 0}, "must be a bool"),
+        ({"const_omega": None}, "must be a bool"),
     ],
 )
 def test_malformed_canonical_forms_refused(kwargs, match):

@@ -130,7 +130,7 @@ def _assert_member_classes_exact(d, bound, reach):
     got = [h for hs in classes for h in hs]
     assert len(got) == len(set(got))
     assert set(got) == {h for h in us if member(d, h)}
-    top = max(reach, de._reach(d, bound)[2])
+    top = max(reach, de._reach(d)[2])
     keys = []
     for hs in classes:
         assert hs == sorted(hs, key=harness._PAIRS)
@@ -267,7 +267,7 @@ def test_product_containment_refuses_bounds_outside_the_universe():
 @given(descriptors())
 @settings(max_examples=200, deadline=None)
 def test_membership_is_constant_on_reach_classes(d):
-    reach = de._reach(d, 4)[2]
+    reach = de._reach(d)[2]
 
     def key(h):
         return _below(h.pairs, reach), h.image
@@ -513,7 +513,7 @@ def test_all_posets_matches_the_brute_force_filter():
         for picks in itertools.product((False, True), repeat=len(off_diag)):
             rel = reflexive + [p for p, take in zip(off_diag, picks) if take]
             try:
-                oracle.append(FinitePoset(labels, rel))
+                oracle.append(FinitePoset(tuple(labels), rel))
             except InvalidPoset:
                 pass
     assert all_posets() == oracle
@@ -734,6 +734,11 @@ def test_run_suite_rejects_bad_jobs():
         lambda: reindex([1.5], 2),
         lambda: reindex([-3], 2),
         lambda: reindex([True], 2, "inverse"),
+        lambda: PBij.identity(True),
+        lambda: PBij.identity(-1),
+        lambda: PBij.identity(2.0),
+        lambda: PBij([(0, 5), (3, 1)]).restrict(True),
+        lambda: PBij([(0, 5), (3, 1)]).restrict(0.5),
     ],
     ids=[
         "suite-bound-float",
@@ -754,6 +759,11 @@ def test_run_suite_rejects_bad_jobs():
         "reindex-avoid-float",
         "reindex-avoid-negative",
         "reindex-avoid-bool",
+        "identity-bool",
+        "identity-negative",
+        "identity-float",
+        "restrict-bool",
+        "restrict-float",
     ],
 )
 def test_entry_points_refuse_non_naturals(call):

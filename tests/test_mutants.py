@@ -15,9 +15,11 @@ import pytest
 from strategies import swap_conjugate
 from waning import (
     Dual,
+    FixBelow,
     ImMiss,
     Intersection,
     InvalidDescriptor,
+    UBasic,
     WaningFn,
     WNbhd,
     closure,
@@ -58,7 +60,7 @@ def _dual_reach_zero(monkeypatch):
     monkeypatch.setattr(
         de,
         "_reach",
-        lambda d, bound: ((), 0, 0) if isinstance(d, Dual) else real(d, bound),
+        lambda d: ((), 0, 0) if isinstance(d, Dual) else real(d),
     )
 
 
@@ -69,6 +71,38 @@ def _scope_classes_ignore_reach(monkeypatch):
         "_scope_classes",
         lambda below, r, reach, bound: real(below, r, r, bound),
     )
+
+
+def _much_wan_basic(monkeypatch, rewrite):
+    """Patch ``much_wan_witness`` to pass the basic set of each intersection
+    it builds, ``UBasic(f, j, outside | picked)``, through ``rewrite``."""
+    real = de.much_wan_witness
+
+    def fault(f, g, r):
+        d = real(f, g, r)
+        if isinstance(d, FixBelow):
+            return d
+        fix, basic = d.parts
+        return Intersection((fix, rewrite(basic, g)))
+
+    monkeypatch.setattr(de, "much_wan_witness", fault)
+
+
+def _much_wan_threshold_one_more(monkeypatch):
+    _much_wan_basic(monkeypatch, lambda u, g: UBasic(u.f, u.n + 1, u.avoid))
+
+
+def _much_wan_threshold_one_less(monkeypatch):
+    _much_wan_basic(monkeypatch, lambda u, g: UBasic(u.f, max(u.n - 1, 0), u.avoid))
+
+
+def _much_wan_picks_one_target_fewer(monkeypatch):
+    def rewrite(u, g):
+        # the picked targets are the avoided points of im(g), the lowest hits
+        picked = sorted(u.avoid & g.image)
+        return UBasic(u.f, u.n, u.avoid - frozenset(picked[-1:]))
+
+    _much_wan_basic(monkeypatch, rewrite)
 
 
 def _valid_r_min_one_too_high(monkeypatch):
@@ -112,6 +146,9 @@ MUTANTS = [
     (_basis_refinement_one_less, _suite_passes("basis", 3)),
     (_closure_drops_its_last_drop, _suite_passes("much-wan", 3)),
     (_collapse_swap_conjugate, _suite_passes("d-map", 3)),
+    (_much_wan_threshold_one_more, _suite_passes("much-wan", 3)),
+    (_much_wan_threshold_one_less, _suite_passes("much-wan", 3)),
+    (_much_wan_picks_one_target_fewer, _suite_passes("much-wan", 3)),
     (_dual_reach_zero, _class_scan_matches_a_naive_scan),
     (_scope_classes_ignore_reach, _class_scan_matches_a_naive_scan),
     (_valid_r_min_one_too_high, _least_valid_radii_admitted),

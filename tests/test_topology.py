@@ -154,6 +154,23 @@ def test_poset_refuses_labels_that_are_not_strings(elements, leq):
         FinitePoset(elements, leq)
 
 
+@pytest.mark.parametrize(
+    "elements, leq",
+    [
+        # a string is iterable: "ab" would be the labels a and b, and the
+        # leq entry "ab" the pair (a, b)
+        ("ab", [("a", "a"), ("b", "b")]),
+        ({"a": 0, "b": 1}, [("a", "a"), ("b", "b")]),
+        (["a", "b"], [("a", "a"), ("b", "b"), "ab"]),
+        (["a"], [("a", "a", "a")]),
+    ],
+    ids=["elements-string", "elements-dict", "leq-entry-string", "leq-entry-triple"],
+)
+def test_poset_refuses_shapes_that_are_not_arrays(elements, leq):
+    with pytest.raises(DomainError, match="expected an array"):
+        FinitePoset(elements, leq)
+
+
 def test_embed_antichain_example():
     mapping = embed_poset(antichain_poset())
     multisets = {
