@@ -28,7 +28,6 @@ from . import serialize as se
 from .errors import WaningError
 from .functions import (
     OMEGA,
-    WaningFn,
     check_nat,
     closure,
     descending_chain_element,
@@ -86,18 +85,15 @@ def _emit(text: str, out: Optional[str]) -> None:
         print(text)
 
 
-def _genfn_arg(args):
-    fn = _decode(args.f, "--f", se.fn_from_obj)
-    return fn.as_genfn() if isinstance(fn, WaningFn) else fn
-
-
 def _cmd_waning_check(args) -> int:
-    print("true" if is_waning(_genfn_arg(args)) else "false")
+    f = _decode(args.f, "--f", se.fn_from_obj)
+    print("true" if is_waning(f) else "false")
     return 0
 
 
 def _cmd_closure(args) -> int:
-    print(se.dumps(se.waning_to_obj(closure(_genfn_arg(args)))))
+    f = _decode(args.f, "--f", se.fn_from_obj)
+    print(se.dumps(se.waning_to_obj(closure(f))))
     return 0
 
 
@@ -196,13 +192,13 @@ def _cmd_witness(args) -> int:
         return 0
     if kind == "much-wan":
         _require(args, "f", "pb", "r")
-        f = _genfn_arg(args)
+        f = _decode(args.f, "--f", se.fn_from_obj)
         g = _decode(args.pb, "--pb", se.pb_from_obj)
         print(se.dumps(se.descriptor_to_obj(de.much_wan_witness(f, g, args.r))))
         return 0
     if kind == "tfprime":
         _require(args, "f", "pb")
-        f = _genfn_arg(args)
+        f = _decode(args.f, "--f", se.fn_from_obj)
         g = _decode(args.pb, "--pb", se.pb_from_obj)
         avoid = _decode(args.X, "--X", se.nats_from_obj)
         result = de.tfprime_refinement(f, args.n or 0, avoid, g)

@@ -42,8 +42,16 @@ from .pbij import PBij
 MAX_NESTING = 100
 
 
+class SetDescriptor:
+    """Base of the nine descriptor kinds; Dual and Intersection nest, and
+    store their own ``depth``."""
+
+    __slots__ = ()
+    depth = 0
+
+
 @dataclass(frozen=True, slots=True)
-class PointHit:
+class PointHit(SetDescriptor):
     """Elements whose graph contains the pair (x, y)."""
 
     x: int
@@ -54,7 +62,7 @@ class PointHit:
 
 
 @dataclass(frozen=True, slots=True)
-class DomMiss:
+class DomMiss(SetDescriptor):
     """Elements whose domain avoids the point x."""
 
     x: int
@@ -64,7 +72,7 @@ class DomMiss:
 
 
 @dataclass(frozen=True, slots=True)
-class ImMiss:
+class ImMiss(SetDescriptor):
     """Elements whose image avoids the point x."""
 
     x: int
@@ -74,7 +82,7 @@ class ImMiss:
 
 
 @dataclass(frozen=True, slots=True)
-class UBasic:
+class UBasic(SetDescriptor):
     """Elements with at least n image points outside ``avoid`` and at most
     f(n) image points inside it.  Raises InvalidDescriptor unless f is a
     GenFn or a WaningFn."""
@@ -93,7 +101,7 @@ class UBasic:
 
 
 @dataclass(frozen=True, slots=True)
-class WNbhd:
+class WNbhd(SetDescriptor):
     """Principal neighbourhood of g: agree with g below r and hit at most
     f(|g|) image points in range(r) outside im(g).  Raises DomainError unless
     r is a natural, and InvalidDescriptor unless f is a WaningFn, g is a
@@ -116,7 +124,7 @@ class WNbhd:
 
 
 @dataclass(frozen=True, slots=True)
-class Wany:
+class Wany(SetDescriptor):
     """Elements with domain clear of range(n) whose image misses some member
     of the family.  Raises InvalidDescriptor for an empty family."""
 
@@ -136,10 +144,10 @@ class Wany:
 
 
 @dataclass(frozen=True, slots=True)
-class Dual:
+class Dual(SetDescriptor):
     """Image of the inner set under inversion."""
 
-    inner: "SetDescriptor"
+    inner: SetDescriptor
     depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -147,17 +155,17 @@ class Dual:
 
 
 @dataclass(frozen=True, slots=True)
-class Intersection:
-    parts: tuple["SetDescriptor", ...]
+class Intersection(SetDescriptor):
+    parts: tuple[SetDescriptor, ...]
     depth: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, parts: Iterable["SetDescriptor"]):
+    def __init__(self, parts: Iterable[SetDescriptor]):
         object.__setattr__(self, "parts", tuple(parts))
         _set_depth(self, self.parts)
 
 
 @dataclass(frozen=True, slots=True)
-class FixBelow:
+class FixBelow(SetDescriptor):
     """Elements agreeing with g on all sources below r.  Raises
     InvalidDescriptor unless g is a PBij."""
 
@@ -170,13 +178,6 @@ class FixBelow:
             raise InvalidDescriptor(f"not a partial bijection: {self.g!r}")
 
 
-SetDescriptor = Union[
-    PointHit, DomMiss, ImMiss, UBasic, WNbhd, Wany, Dual, Intersection, FixBelow
-]
-
-_LEAVES = (FixBelow, UBasic, PointHit, DomMiss, ImMiss, WNbhd, Wany)
-
-
 def _set_depth(d: Union[Dual, Intersection], parts: tuple) -> None:
     """Store ``d.depth``, the most Dual and Intersection levels on a path
     down from d; refuse a part that is not a descriptor, and nesting past
@@ -186,14 +187,10 @@ def _set_depth(d: Union[Dual, Intersection], parts: tuple) -> None:
     ``much_wan_witness`` builds an intersection per call."""
     depth = 0
     for part in parts:
-        if isinstance(part, (Dual, Intersection)):
-            below = part.depth
-        elif isinstance(part, _LEAVES):
-            below = 0
-        else:
+        if not isinstance(part, SetDescriptor):
             raise InvalidDescriptor(f"not a descriptor: {part!r}")
-        if below >= depth:
-            depth = below + 1
+        if part.depth >= depth:
+            depth = part.depth + 1
     if depth > MAX_NESTING:
         raise ValueError(f"descriptor nests deeper than {MAX_NESTING} levels")
     object.__setattr__(d, "depth", depth)
@@ -315,7 +312,7 @@ def basis_refinement(f: WaningFn, n: int, avoid: Iterable[int], g: PBij) -> int:
     return r
 
 
-def much_wan_witness(f: GenFn, g: PBij, r: int) -> SetDescriptor:
+def much_wan_witness(f: Union[GenFn, WaningFn], g: PBij, r: int) -> SetDescriptor:
     """Descriptor over the original function equal to the closure neighbourhood.
 
     For the waning closure f' of f and a radius valid for (f', g), returns a
@@ -334,11 +331,8 @@ def much_wan_witness(f: GenFn, g: PBij, r: int) -> SetDescriptor:
         return FixBelow(g, r)
     if r > SIZE_LIMIT:
         raise BoundTooLarge(f"the witness avoids {r} points, above {SIZE_LIMIT}")
-    # j: the first index in range(i + 1) of the least f(j) + j; past the
-    # prefix f is its tail, so no later index beats the prefix's end
-    costs = [v + k for k, v in enumerate(f.prefix[: i + 1])]
-    if i >= len(f.prefix):
-        costs.append(f.tail + len(f.prefix))
+    # j: the first index in range(i + 1) of the least f(j) + j
+    costs = [f(k) + k for k in range(i + 1)]
     j = costs.index(min(costs))
     b = size_value + i - (costs[j] - j)
     outside = frozenset(range(r)) - g.image
@@ -348,7 +342,7 @@ def much_wan_witness(f: GenFn, g: PBij, r: int) -> SetDescriptor:
 
 
 def tfprime_refinement(
-    f: GenFn, n: int, avoid: Iterable[int], g: PBij
+    f: Union[GenFn, WaningFn], n: int, avoid: Iterable[int], g: PBij
 ) -> SetDescriptor:
     """Neighbourhood of g under the waning closure inside the original basic set.
 

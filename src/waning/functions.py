@@ -176,8 +176,10 @@ CONST_OMEGA = WaningFn(const_omega=True)
 CONST_ZERO = WaningFn()
 
 
-def is_waning(f: GenFn) -> bool:
-    """Decide the waning predicate for an eventually-constant function."""
+def is_waning(f: Union[GenFn, WaningFn]) -> bool:
+    """Decide the waning predicate; a WaningFn is waning by construction."""
+    if isinstance(f, WaningFn):
+        return True
     values = list(f.prefix) + [f.tail]
     if all(is_omega(v) for v in values):
         # constant OMEGA counts only when it extends to the top point
@@ -194,16 +196,19 @@ def is_waning(f: GenFn) -> bool:
     return f.omega == 0
 
 
-def closure(f: GenFn) -> WaningFn:
+def closure(f: Union[GenFn, WaningFn]) -> WaningFn:
     """Greatest waning function pointwise below ``f`` at every finite index.
 
-    Step rules: start at ``f(0)``; while the running value is nonzero the
-    next value is ``min(f(i+1), value - 1)``; once 0 is reached stay at 0.
-    An everywhere-OMEGA run yields the constant-OMEGA function.  Past the
+    A WaningFn is its own closure, and is returned as it stands.  For a
+    GenFn, step rules: start at ``f(0)``; while the running value is nonzero
+    the next value is ``min(f(i+1), value - 1)``; once 0 is reached stay at
+    0.  An everywhere-OMEGA run yields the constant-OMEGA function.  Past the
     prefix every step reads the tail, so the remaining drops count down from
     ``min(tail, value - 1)``.  Raises BoundTooLarge when the result would
     have more than SIZE_LIMIT drops.
     """
+    if isinstance(f, WaningFn):
+        return f
     prefix, tail = f.prefix, f.tail
     i = 0
     while i < len(prefix) and prefix[i] == OMEGA:

@@ -12,6 +12,9 @@ Descriptors are tagged objects, topologies ``{"direct":...}``/``{"dual":...}``.
 The descriptor constructors refuse ``dual`` and ``and`` nested more than
 ``descriptors.MAX_NESTING`` deep with ValueError, so the encoder recurses at
 most that far; the decoder recurses as deep as the parsed object goes.
+A body of the wrong shape, such as ``{"hit":5}``, raises whatever indexing
+or unpacking it raises (TypeError, KeyError, IndexError or ValueError); the
+CLI reports that as a usage error.
 """
 
 from __future__ import annotations

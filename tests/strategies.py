@@ -2,12 +2,26 @@
 
 import contextlib
 import dataclasses
+import random
 import signal
 
 import hypothesis.strategies as st
 import pytest
 
-from waning import OMEGA, GenFn, PBij, WaningFn, collapse, is_omega, valid_r_min
+from waning import (
+    OMEGA,
+    GenFn,
+    PBij,
+    WaningFn,
+    collapse,
+    enumerate_universe,
+    is_omega,
+    member,
+    product_containment_check,
+    valid_r_min,
+    waning_sample,
+)
+from waning import descriptors as de
 from waning.descriptors import (
     DomMiss,
     Dual,
@@ -121,6 +135,46 @@ def swap_conjugate(g, h):
     B - n >= 1."""
     t = {0: 1, 1: 0}
     return PBij([(t.get(x, x), t.get(y, y)) for x, y in collapse(g, h).pairs])
+
+
+def least_joint_radius(f, a, b, r):
+    """A deliberate fault for ``continuity_p``: the least radius valid for
+    both factors.  Many products of its neighbourhoods leave the target."""
+    return max(valid_r_min(f, a), valid_r_min(f, b))
+
+
+def matches_all_products(f, a, b, bound) -> bool:
+    """Whether ``product_containment_check`` agrees with the oracle that
+    forms every product of the two factor neighbourhoods and tests each one."""
+    c = a * b
+    r = valid_r_min(f, c)
+    p = de.continuity_p(f, a, b, r)
+    wa, wb, wc = WNbhd(f, a, p), WNbhd(f, b, p), WNbhd(f, c, r)
+    us = enumerate_universe(bound)
+    left = [d for d in us if member(wa, d)]
+    right = [e for e in us if member(wb, e)]
+    naive = sorted(
+        (d * e).pairs for d in left for e in right if not member(wc, d * e)
+    )
+    rep = product_containment_check(f, a, b, bound)
+    return rep.cases == len(left) * len(right) and naive == sorted(
+        w.pairs for _, w in rep.counterexamples
+    )
+
+
+def products_match_below_continuity_p() -> bool:
+    """``matches_all_products`` on 300 seeded triples at bound 3, with
+    ``continuity_p`` lowered to ``least_joint_radius``: so many products
+    escape that classes whose products differ in membership would show."""
+    rng = random.Random(0)
+    fs, small = waning_sample(), enumerate_universe(3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(de, "continuity_p", least_joint_radius)
+        for _ in range(300):
+            f, a, b = rng.choice(fs), rng.choice(small), rng.choice(small)
+            if not matches_all_products(f, a, b, 3):
+                return False
+    return True
 
 
 @contextlib.contextmanager

@@ -34,6 +34,7 @@ from waning import (
     PBij,
     PointHit,
     PreconditionError,
+    SetDescriptor,
     UBasic,
     Wany,
     WaningFn,
@@ -51,6 +52,7 @@ from waning import (
     subset_check,
     tfprime_refinement,
     valid_r_min,
+    waning_sample,
 )
 from waning.descriptors import MAX_NESTING, _agrees_below, _reach
 from waning.serialize import descriptor_from_obj, descriptor_to_obj
@@ -145,6 +147,24 @@ def test_parts_that_are_not_descriptors_refused_at_construction():
     ):
         with pytest.raises(InvalidDescriptor, match="not a descriptor"):
             make()
+
+
+def test_every_kind_is_a_set_descriptor():
+    kinds = [
+        PointHit(0, 1),
+        DomMiss(0),
+        ImMiss(0),
+        UBasic(CONST_ZERO, 0, ()),
+        WNbhd(CONST_ZERO, EMPTY, 0),
+        Wany(0, [()]),
+        Dual(DomMiss(0)),
+        Intersection(()),
+        FixBelow(EMPTY, 0),
+    ]
+    assert len({type(d) for d in kinds}) == 9
+    for d in kinds:
+        assert isinstance(d, SetDescriptor)
+        assert d.depth == (1 if isinstance(d, Dual) else 0)
 
 
 @pytest.mark.parametrize(
@@ -457,6 +477,25 @@ def test_tfprime_on_waning_input_stays_basic():
     assert isinstance(got, WNbhd) and got.f == w
 
 
+@pytest.mark.parametrize("w", waning_sample())
+def test_witnesses_read_a_waning_fn_as_its_genfn(w):
+    us = enumerate_universe(4)
+
+    def members(d):
+        return [h for h in us if member(d, h)]
+
+    f = w.as_genfn()
+    for g in enumerate_universe(2):
+        r = valid_r_min(w, g)
+        for radius in (r, r + 2):
+            got = much_wan_witness(w, g, radius)
+            assert members(got) == members(much_wan_witness(f, g, radius))
+        for n, avoid in ((0, {0}), (1, {1}), (1, ())):
+            if member(UBasic(w, n, avoid), g):
+                got = tfprime_refinement(w, n, avoid, g)
+                assert members(got) == members(tfprime_refinement(f, n, avoid, g))
+
+
 def test_continuity_examples():
     assert continuity_p(CONST_ZERO, pb((0, 1)), pb((1, 2)), 1) == 2
     assert continuity_p(CONST_ZERO, EMPTY, EMPTY, 0) == 1
@@ -664,7 +703,7 @@ def test_dual_involution_and_semantics(d, h):
 @settings(max_examples=20)
 def test_deep_dual_chain_answers_by_parity(d, h):
     # the deepest chain that can be built: Duals up to MAX_NESTING levels
-    levels = MAX_NESTING - getattr(d, "depth", 0)
+    levels = MAX_NESTING - d.depth
     deep = d
     for _ in range(levels):
         deep = Dual(deep)

@@ -35,6 +35,7 @@ from waning import (
     meet,
     preceq,
     staircase,
+    waning_sample,
 )
 
 
@@ -78,6 +79,11 @@ def test_closure_examples():
     w = WaningFn(omega_prefix=1, drops=(4, 2))
     assert closure(w.as_genfn()) == w
     assert closure(GenFn(tail=OMEGA, omega=0)) == CONST_OMEGA
+
+
+def test_waning_input_is_its_own_closure():
+    for w in waning_sample():
+        assert closure(w) is w and is_waning(w)
 
 
 def test_closure_of_example_fixture():

@@ -2,14 +2,21 @@ import itertools
 import json
 import os
 import pickle
-import random
 from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import deadline, descriptors, pbijs, swap_conjugate
+from strategies import (
+    deadline,
+    descriptors,
+    least_joint_radius,
+    matches_all_products,
+    pbijs,
+    products_match_below_continuity_p,
+    swap_conjugate,
+)
 from waning import (
     CONST_OMEGA,
     CONST_ZERO,
@@ -322,53 +329,27 @@ def test_product_containment_examples():
     ],
 )
 def test_product_containment_matches_brute_force(f, a, b):
-    _assert_matches_all_products(f, a, b, 4)
-
-
-def _assert_matches_all_products(f, a, b, bound):
-    """The check against the oracle that forms every product of the two
-    factor neighbourhoods and tests each one."""
-    c = a * b
-    r = valid_r_min(f, c)
-    p = harness.de.continuity_p(f, a, b, r)
-    wa, wb, wc = WNbhd(f, a, p), WNbhd(f, b, p), WNbhd(f, c, r)
-    us = enumerate_universe(bound)
-    left = [d for d in us if member(wa, d)]
-    right = [e for e in us if member(wb, e)]
-    naive = sorted(
-        (d * e).pairs for d in left for e in right if not member(wc, d * e)
-    )
-    rep = product_containment_check(f, a, b, bound)
-    assert rep.cases == len(left) * len(right)
-    assert sorted(w.pairs for _, w in rep.counterexamples) == naive
+    assert matches_all_products(f, a, b, 4)
 
 
 def test_product_containment_matches_brute_force_at_bound_5():
     # the failing case of seed 2: 2,166 counterexamples, 66 distinct products
     f, a, b = WaningFn(drops=(9,)), PBij([(1, 1), (2, 0)]), PBij([(0, 0)])
-    _assert_matches_all_products(f, a, b, 5)
+    assert matches_all_products(f, a, b, 5)
 
 
 @pytest.mark.parametrize("seed", [2, 4, 10])
-def test_product_containment_matches_brute_force_on_failing_seeds(seed):
-    assert not run_suite("continuity", bound=4, seed=seed, jobs=1).ok
+def test_product_containment_matches_brute_force_on_failing_seeds(monkeypatch, seed):
+    # the failing suite comes from a named fault, a lowered continuity_p
+    with monkeypatch.context() as mp:
+        mp.setattr(harness.de, "continuity_p", least_joint_radius)
+        assert not run_suite("continuity", bound=4, seed=seed, jobs=1).ok
     for f, a, b in harness._continuity_cases(4, seed, 100):
-        _assert_matches_all_products(f, a, b, 4)
+        assert matches_all_products(f, a, b, 4)
 
 
-def test_product_containment_matches_brute_force_below_continuity_p(monkeypatch):
-    # the least radius valid for both factors lets many products escape, so
-    # classes whose products differ in membership would show here
-    def least_joint_radius(f, a, b, r):
-        return max(valid_r_min(f, a), valid_r_min(f, b))
-
-    monkeypatch.setattr(harness.de, "continuity_p", least_joint_radius)
-    rng = random.Random(0)
-    fs = waning_sample()
-    small = enumerate_universe(3)
-    for _ in range(300):
-        f, a, b = rng.choice(fs), rng.choice(small), rng.choice(small)
-        _assert_matches_all_products(f, a, b, 3)
+def test_product_containment_matches_brute_force_below_continuity_p():
+    assert products_match_below_continuity_p()
 
 
 def _dmap_kinds():

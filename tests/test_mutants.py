@@ -12,7 +12,7 @@ import itertools
 
 import pytest
 
-from strategies import swap_conjugate
+from strategies import products_match_below_continuity_p, swap_conjugate
 from waning import (
     Dual,
     FixBelow,
@@ -53,6 +53,21 @@ def _closure_drops_its_last_drop(monkeypatch):
 
 def _collapse_swap_conjugate(monkeypatch):
     monkeypatch.setattr(harness, "collapse", swap_conjugate)
+
+
+def _continuity_right_key_drops_s(monkeypatch):
+    real = harness._classes
+
+    def fault(items, key):
+        # continuity's right key ends in S(e), a tuple of sources, and
+        # _member_classes' key in an image, a frozenset
+        def weaker(h):
+            k = key(h)
+            return k if isinstance(k[1], frozenset) else k[:1]
+
+        return real(items, weaker)
+
+    monkeypatch.setattr(harness, "_classes", fault)
 
 
 def _dual_reach_zero(monkeypatch):
@@ -146,6 +161,7 @@ MUTANTS = [
     (_basis_refinement_one_less, _suite_passes("basis", 3)),
     (_closure_drops_its_last_drop, _suite_passes("much-wan", 3)),
     (_collapse_swap_conjugate, _suite_passes("d-map", 3)),
+    (_continuity_right_key_drops_s, products_match_below_continuity_p),
     (_much_wan_threshold_one_more, _suite_passes("much-wan", 3)),
     (_much_wan_threshold_one_less, _suite_passes("much-wan", 3)),
     (_much_wan_picks_one_target_fewer, _suite_passes("much-wan", 3)),
