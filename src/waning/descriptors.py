@@ -1,9 +1,11 @@
 """Symbolic open-set descriptors with exact membership for partial bijections.
 
-A descriptor denotes a basic or derived open set; ``member`` evaluates the
-exact predicate on a finite partial bijection.  Subset and equality questions
-between descriptors are settled by exhaustive checks over bounded universes
-(see ``waning.harness``), never symbolically.
+A descriptor denotes a basic or derived open set.  Each of the nine kinds
+states its exact membership test on a finite partial bijection as its method
+``_has``, which ``member`` calls once it has refused a non-descriptor;
+``_reach`` still states what every kind's test reads, in one function.
+Subset and equality questions between descriptors are settled by exhaustive
+checks over bounded universes (see ``waning.harness``), never symbolically.
 
 The refinement operations return witnesses extracted from constructive
 arguments: a radius whose principal neighbourhood sits inside a given basic
@@ -44,10 +46,16 @@ MAX_NESTING = 100
 
 class SetDescriptor:
     """Base of the nine descriptor kinds; Dual and Intersection nest, and
-    store their own ``depth``."""
+    store their own ``depth``.  Each kind overrides ``_has``."""
 
     __slots__ = ()
     depth = 0
+
+    def _has(self, h: PBij) -> bool:
+        """Exact membership of h; ``member`` is the public entry.  Dual and
+        Intersection call their parts' ``_has`` directly, as their
+        constructors checked the parts."""
+        raise InvalidDescriptor(f"not a descriptor: {self!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,6 +68,9 @@ class PointHit(SetDescriptor):
     def __post_init__(self):
         check_nat(self.x, self.y)
 
+    def _has(self, h: PBij) -> bool:
+        return h.get(self.x) == self.y
+
 
 @dataclass(frozen=True, slots=True)
 class DomMiss(SetDescriptor):
@@ -70,6 +81,9 @@ class DomMiss(SetDescriptor):
     def __post_init__(self):
         check_nat(self.x)
 
+    def _has(self, h: PBij) -> bool:
+        return h.get(self.x) is None
+
 
 @dataclass(frozen=True, slots=True)
 class ImMiss(SetDescriptor):
@@ -79,6 +93,9 @@ class ImMiss(SetDescriptor):
 
     def __post_init__(self):
         check_nat(self.x)
+
+    def _has(self, h: PBij) -> bool:
+        return not h.has_target(self.x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,6 +115,13 @@ class UBasic(SetDescriptor):
                 f"not a waning or eventually-constant function: {self.f!r}"
             )
         object.__setattr__(self, "avoid", nat_set(self.avoid))
+
+    def _has(self, h: PBij) -> bool:
+        avoid, inside = self.avoid, 0
+        for _, y in h.pairs:
+            if y in avoid:
+                inside += 1
+        return len(h.pairs) - inside >= self.n and inside <= self.f(self.n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,6 +146,16 @@ class WNbhd(SetDescriptor):
                 f"radius {self.r} is not valid for this neighbourhood"
             )
 
+    def _has(self, h: PBij) -> bool:
+        g, r = self.g, self.r
+        if not _agrees_below(h, g, r):
+            return False
+        mistakes = 0
+        for _, y in h.pairs:
+            if y < r and not g.has_target(y):
+                mistakes += 1
+        return mistakes <= self.f(len(g))
+
 
 @dataclass(frozen=True, slots=True)
 class Wany(SetDescriptor):
@@ -142,6 +176,11 @@ class Wany(SetDescriptor):
             self, "families", tuple(sorted(sets, key=lambda ys: sorted(ys)))
         )
 
+    def _has(self, h: PBij) -> bool:
+        if any(x < self.n for x, _ in h.pairs):
+            return False
+        return any(all(y not in ys for _, y in h.pairs) for ys in self.families)
+
 
 @dataclass(frozen=True, slots=True)
 class Dual(SetDescriptor):
@@ -153,6 +192,9 @@ class Dual(SetDescriptor):
     def __post_init__(self):
         _set_depth(self, (self.inner,))
 
+    def _has(self, h: PBij) -> bool:
+        return self.inner._has(h.inverse())
+
 
 @dataclass(frozen=True, slots=True)
 class Intersection(SetDescriptor):
@@ -162,6 +204,12 @@ class Intersection(SetDescriptor):
     def __init__(self, parts: Iterable[SetDescriptor]):
         object.__setattr__(self, "parts", tuple(parts))
         _set_depth(self, self.parts)
+
+    def _has(self, h: PBij) -> bool:
+        for part in self.parts:
+            if not part._has(h):
+                return False
+        return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,6 +224,9 @@ class FixBelow(SetDescriptor):
         check_nat(self.r)
         if not isinstance(self.g, PBij):
             raise InvalidDescriptor(f"not a partial bijection: {self.g!r}")
+
+    def _has(self, h: PBij) -> bool:
+        return _agrees_below(h, self.g, self.r)
 
 
 def _set_depth(d: Union[Dual, Intersection], parts: tuple) -> None:
@@ -204,38 +255,9 @@ def _agrees_below(h: PBij, g: PBij, r: int) -> bool:
 
 def member(d: SetDescriptor, h: PBij) -> bool:
     """Exact membership of a finite partial bijection in the described set."""
-    if isinstance(d, PointHit):
-        return h.get(d.x) == d.y
-    if isinstance(d, DomMiss):
-        return h.get(d.x) is None
-    if isinstance(d, ImMiss):
-        return not h.has_target(d.x)
-    if isinstance(d, UBasic):
-        inside = 0
-        for _, y in h.pairs:
-            if y in d.avoid:
-                inside += 1
-        return len(h.pairs) - inside >= d.n and inside <= d.f(d.n)
-    if isinstance(d, WNbhd):
-        if not _agrees_below(h, d.g, d.r):
-            return False
-        mistakes = sum(
-            1 for _, y in h.pairs if y < d.r and not d.g.has_target(y)
-        )
-        return mistakes <= d.f(len(d.g))
-    if isinstance(d, Wany):
-        if any(x < d.n for x, _ in h.pairs):
-            return False
-        return any(
-            all(y not in ys for _, y in h.pairs) for ys in d.families
-        )
-    if isinstance(d, Dual):
-        return member(d.inner, h.inverse())
-    if isinstance(d, Intersection):
-        return all(member(part, h) for part in d.parts)
-    if isinstance(d, FixBelow):
-        return _agrees_below(h, d.g, d.r)
-    raise InvalidDescriptor(f"not a descriptor: {d!r}")
+    if not isinstance(d, SetDescriptor):
+        raise InvalidDescriptor(f"not a descriptor: {d!r}")
+    return d._has(h)
 
 
 def _reach(d: SetDescriptor) -> tuple[tuple, int, int]:

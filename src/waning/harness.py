@@ -199,6 +199,16 @@ def _report(name: str, cases: int, found, started: float) -> CheckReport:
     )
 
 
+def _labelled(found: list[tuple[str, PBij]], label) -> list[tuple[str, PBij]]:
+    """``found``'s (suffix, element) pairs with ``dumps(label())`` before
+    each suffix.  Most cases find nothing, so a label is built only for a
+    counterexample."""
+    if not found:
+        return found
+    text = dumps(label())
+    return [(text + suffix, h) for suffix, h in found]
+
+
 def _failing(d1, d2, scopes, bound: int, fails) -> list[PBij]:
     """The elements h of the ``scopes`` (``de._reach`` triples) with
     ``fails(h in d1, h in d2)``, in universe order.  The scopes are disjoint.
@@ -332,9 +342,6 @@ def product_containment_check(
     wa = de.WNbhd(f, a, p)
     wb = de.WNbhd(f, b, p)
     wc = de.WNbhd(f, c, r)
-    label = dumps(
-        {"f": fn_to_obj(f), "a": pb_to_obj(a), "b": pb_to_obj(b), "p": p, "r": r}
-    )
     left_classes = _member_classes(wa, bound, r)
     right = [e for es in _member_classes(wb, bound) for e in es]
     shown = sorted({y for ds in left_classes for x, y in ds[0].pairs if x < r})
@@ -349,7 +356,13 @@ def product_containment_check(
     for ds in left_classes:
         for es in right_classes:
             if not de.member(wc, ds[0] * es[0]):
-                found += [(label, d * e) for d in ds for e in es]
+                found += [("", d * e) for d in ds for e in es]
+    found = _labelled(
+        found,
+        lambda: {
+            "f": fn_to_obj(f), "a": pb_to_obj(a), "b": pb_to_obj(b), "p": p, "r": r
+        },
+    )
     cases = sum(map(len, left_classes)) * len(right)
     return _report("product-containment", cases, found, started)
 
@@ -437,23 +450,17 @@ def _basis_cases(bound: int, seed: int, sample: int) -> list:
 
 def _basis_eval(bound: int, case) -> list[tuple[str, PBij]]:
     f, g, n, avoid, extra_r, extra_p = case
-    label = dumps(
-        {
-            "f": fn_to_obj(f),
-            "g": pb_to_obj(g),
-            "n": n,
-            "X": sorted(avoid),
-        }
-    )
     r = de.valid_r_min(f, g) + extra_r
     p = r + extra_p
     wide = de.WNbhd(f, g, r)
     narrow = de.WNbhd(f, g, p)
     basic = de.UBasic(f, n, avoid)
     refined = de.WNbhd(f, g, de.basis_refinement(f, n, avoid, g))
-    found = [(label + "#monotone", h) for h in _escapes(narrow, wide, bound)]
-    found += [(label + "#refine", h) for h in _escapes(refined, basic, bound)]
-    return found
+    found = [("#monotone", h) for h in _escapes(narrow, wide, bound)]
+    found += [("#refine", h) for h in _escapes(refined, basic, bound)]
+    return _labelled(
+        found, lambda: {"f": fn_to_obj(f), "g": pb_to_obj(g), "n": n, "X": sorted(avoid)}
+    )
 
 
 def _much_wan_cases(bound: int, seed: int, sample: int) -> list:
@@ -474,15 +481,17 @@ def _much_wan_cases(bound: int, seed: int, sample: int) -> list:
 def _much_wan_eval(bound: int, case) -> list[tuple[str, PBij]]:
     kind, f, g, r, n, avoid = case
     if kind == "equal":
-        label = dumps({"f": fn_to_obj(f), "g": pb_to_obj(g), "r": r})
         built = de.much_wan_witness(f, g, r)
         target = de.WNbhd(closure(f), g, r)
-        return [(label + "#equal", h) for h in _mismatches(built, target, bound)]
-    label = dumps({"f": fn_to_obj(f), "g": pb_to_obj(g), "n": n, "X": sorted(avoid)})
+        found = [("#equal", h) for h in _mismatches(built, target, bound)]
+        return _labelled(found, lambda: {"f": fn_to_obj(f), "g": pb_to_obj(g), "r": r})
     basic = de.UBasic(f, n, avoid)
     refined = de.tfprime_refinement(f, n, avoid, g)
-    found = [] if de.member(refined, g) else [(label + "#base-point", g)]
-    return found + [(label + "#refine", h) for h in _escapes(refined, basic, bound)]
+    found = [] if de.member(refined, g) else [("#base-point", g)]
+    found += [("#refine", h) for h in _escapes(refined, basic, bound)]
+    return _labelled(
+        found, lambda: {"f": fn_to_obj(f), "g": pb_to_obj(g), "n": n, "X": sorted(avoid)}
+    )
 
 
 def _continuity_cases(bound: int, seed: int, sample: int) -> list:
@@ -561,8 +570,10 @@ def _remark_eval(bound: int, case) -> list[tuple[str, PBij]]:
         )
         cap = de.UBasic(GenFn(prefix=(), tail=3, omega=3), 0, range(param))
         rhs = de.Intersection(dom_clear + [cap])
-    label = dumps({"identity": kind, "n": n, "param": param})
-    return [(label, h) for h in _mismatches(lhs, rhs, bound)]
+    return _labelled(
+        [("", h) for h in _mismatches(lhs, rhs, bound)],
+        lambda: {"identity": kind, "n": n, "param": param},
+    )
 
 
 def _dual_cases(bound: int, seed: int, sample: int) -> list:
@@ -704,15 +715,19 @@ def _embed_cases(bound: int, seed: int, sample: int) -> list:
 def _embed_eval(bound: int, case) -> list[tuple[str, PBij]]:
     poset = case
     mapping = embed_poset(poset)
-    label = dumps({"elements": list(poset.elements), "leq": sorted(poset.leq)})
     fns = list(mapping.values())
     if len(set(fns)) != len(fns):
-        return [(label + "#injective", EMPTY)]
-    for x in poset.elements:
-        for y in poset.elements:
-            if poset.le(x, y) != preceq(mapping[x], mapping[y]):
-                return [(label + "#order", EMPTY)]
-    return []
+        kind = "#injective"
+    elif any(
+        poset.le(x, y) != preceq(mapping[x], mapping[y])
+        for x in poset.elements
+        for y in poset.elements
+    ):
+        kind = "#order"
+    else:
+        return []
+    label = dumps({"elements": list(poset.elements), "leq": sorted(poset.leq)})
+    return [(label + kind, EMPTY)]
 
 
 def _compact_cases(bound: int, seed: int, sample: int) -> list:

@@ -13,6 +13,7 @@ from waning import (
     GenFn,
     PBij,
     WaningFn,
+    closure,
     collapse,
     enumerate_universe,
     is_omega,
@@ -22,6 +23,7 @@ from waning import (
     waning_sample,
 )
 from waning import descriptors as de
+from waning import harness
 from waning.descriptors import (
     DomMiss,
     Dual,
@@ -135,6 +137,30 @@ def swap_conjugate(g, h):
     B - n >= 1."""
     t = {0: 1, 1: 0}
     return PBij([(t.get(x, x), t.get(y, y)) for x, y in collapse(g, h).pairs])
+
+
+def basis_refinement_one_less(monkeypatch):
+    """A deliberate fault for ``basis_refinement``: one less, where the
+    radius is still valid."""
+    real = de.basis_refinement
+
+    def fault(f, n, avoid, g):
+        # still a valid radius, so the neighbourhood is still built
+        return max(real(f, n, avoid, g) - 1, de.valid_r_min(f, g))
+
+    monkeypatch.setattr(de, "basis_refinement", fault)
+
+
+def closure_drops_its_last_drop(monkeypatch):
+    """A deliberate fault for ``closure``, where the harness and the
+    witnesses read it: the last drop of the waning closure is dropped."""
+
+    def fault(f):
+        w = closure(f)
+        return w if w.const_omega else WaningFn(w.omega_prefix, w.drops[:-1])
+
+    monkeypatch.setattr(harness, "closure", fault)
+    monkeypatch.setattr(de, "closure", fault)
 
 
 def least_joint_radius(f, a, b, r):

@@ -164,7 +164,43 @@ def test_every_kind_is_a_set_descriptor():
     assert len({type(d) for d in kinds}) == 9
     for d in kinds:
         assert isinstance(d, SetDescriptor)
+        # each kind states its own membership test
+        assert "_has" in vars(type(d))
         assert d.depth == (1 if isinstance(d, Dual) else 0)
+
+
+def member_oracle(d, h):
+    """Independent oracle: membership from each kind's definition, stated
+    with restrictions, images and set operations."""
+    if isinstance(d, PointHit):
+        return (d.x, d.y) in set(h.pairs)
+    if isinstance(d, DomMiss):
+        return d.x not in h.domain
+    if isinstance(d, ImMiss):
+        return d.x not in h.image
+    if isinstance(d, UBasic):
+        return len(h.image - d.avoid) >= d.n and len(h.image & d.avoid) <= d.f(d.n)
+    if isinstance(d, WNbhd):
+        mistakes = h.image & set(range(d.r)) - d.g.image
+        return h.restrict(d.r) == d.g.restrict(d.r) and len(mistakes) <= d.f(len(d.g))
+    if isinstance(d, Wany):
+        return h.domain.isdisjoint(range(d.n)) and any(
+            h.image.isdisjoint(ys) for ys in d.families
+        )
+    if isinstance(d, Dual):
+        return member_oracle(d.inner, h.inverse())
+    if isinstance(d, Intersection):
+        return all(member_oracle(part, h) for part in d.parts)
+    if isinstance(d, FixBelow):
+        return h.restrict(d.r) == d.g.restrict(d.r)
+    raise AssertionError(f"no oracle for {d!r}")
+
+
+@given(descriptors())
+@settings(max_examples=200)
+def test_member_matches_the_definitions(d):
+    for h in enumerate_universe(3):
+        assert member(d, h) == member_oracle(d, h)
 
 
 @pytest.mark.parametrize(
@@ -179,7 +215,9 @@ def test_every_kind_is_a_set_descriptor():
     ],
     ids=["member", "reach", "encode", "subset-left", "subset-right", "equality"],
 )
-@pytest.mark.parametrize("value", [5, EMPTY], ids=["int", "pbij"])
+@pytest.mark.parametrize(
+    "value", [5, EMPTY, SetDescriptor()], ids=["int", "pbij", "bare-base"]
+)
 def test_values_that_are_not_descriptors_refused(call, value):
     with pytest.raises(InvalidDescriptor, match="not a descriptor"):
         call(value)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import (
+    basis_refinement_one_less,
+    closure_drops_its_last_drop,
     deadline,
     descriptors,
     least_joint_radius,
@@ -350,6 +353,47 @@ def test_product_containment_matches_brute_force_on_failing_seeds(monkeypatch, s
 
 def test_product_containment_matches_brute_force_below_continuity_p():
     assert products_match_below_continuity_p()
+
+
+def _lowered_continuity_p(monkeypatch):
+    monkeypatch.setattr(de, "continuity_p", least_joint_radius)
+
+
+# failing reports under named faults, as (suite, bound, seed, fault, number
+# of counterexamples, sha256 of the report's JSON without "ms"); the digests
+# were recorded from labels built for every case, before only a case with a
+# counterexample built one
+FAILING_REPORTS = [
+    (
+        "basis", 3, 1, basis_refinement_one_less, 17,
+        "ad231c38c53737258dd750dfc26f01ecf771e71e1c7a8befcc7b7a1a162d03f1",
+    ),
+    (
+        "much-wan", 3, 1, closure_drops_its_last_drop, 21,
+        "8d2adec96525593561f519b5495fa43cba41846c9a076dff306101da8433ddec",
+    ),
+    (
+        "continuity", 4, 2, _lowered_continuity_p, 1039,
+        "a5909c07479d1c109c3dfcef168524508f2d6ed7c7980b69758fd903991e714a",
+    ),
+]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "name, bound, seed, fault, count, digest",
+    FAILING_REPORTS,
+    ids=[name for name, *_ in FAILING_REPORTS],
+)
+def test_failing_reports_stay_byte_identical(
+    monkeypatch, name, bound, seed, fault, count, digest, jobs
+):
+    fault(monkeypatch)
+    monkeypatch.setattr(harness, "available_cpus", lambda: 2)
+    obj = run_suite(name, bound=bound, seed=seed, jobs=jobs).to_obj()
+    del obj["ms"]
+    assert len(obj["counterexamples"]) == count
+    assert hashlib.sha256(json.dumps(obj).encode()).hexdigest() == digest
 
 
 def _dmap_kinds():

@@ -12,7 +12,12 @@ import itertools
 
 import pytest
 
-from strategies import products_match_below_continuity_p, swap_conjugate
+from strategies import (
+    basis_refinement_one_less,
+    closure_drops_its_last_drop,
+    products_match_below_continuity_p,
+    swap_conjugate,
+)
 from waning import (
     Dual,
     FixBelow,
@@ -20,9 +25,7 @@ from waning import (
     Intersection,
     InvalidDescriptor,
     UBasic,
-    WaningFn,
     WNbhd,
-    closure,
     enumerate_universe,
     member,
     run_suite,
@@ -30,25 +33,6 @@ from waning import (
 )
 from waning import descriptors as de
 from waning import harness
-
-
-def _basis_refinement_one_less(monkeypatch):
-    real = de.basis_refinement
-
-    def fault(f, n, avoid, g):
-        # still a valid radius, so the neighbourhood is still built
-        return max(real(f, n, avoid, g) - 1, de.valid_r_min(f, g))
-
-    monkeypatch.setattr(de, "basis_refinement", fault)
-
-
-def _closure_drops_its_last_drop(monkeypatch):
-    def fault(f):
-        w = closure(f)
-        return w if w.const_omega else WaningFn(w.omega_prefix, w.drops[:-1])
-
-    monkeypatch.setattr(harness, "closure", fault)
-    monkeypatch.setattr(de, "closure", fault)
 
 
 def _collapse_swap_conjugate(monkeypatch):
@@ -85,6 +69,12 @@ def _scope_classes_ignore_reach(monkeypatch):
         harness,
         "_scope_classes",
         lambda below, r, reach, bound: real(below, r, r, bound),
+    )
+
+
+def _intersection_tests_only_its_first_part(monkeypatch):
+    monkeypatch.setattr(
+        Intersection, "_has", lambda d, h: not d.parts or d.parts[0]._has(h)
     )
 
 
@@ -158,13 +148,14 @@ def _least_valid_radii_admitted():
 
 
 MUTANTS = [
-    (_basis_refinement_one_less, _suite_passes("basis", 3)),
-    (_closure_drops_its_last_drop, _suite_passes("much-wan", 3)),
+    (basis_refinement_one_less, _suite_passes("basis", 3)),
+    (closure_drops_its_last_drop, _suite_passes("much-wan", 3)),
     (_collapse_swap_conjugate, _suite_passes("d-map", 3)),
     (_continuity_right_key_drops_s, products_match_below_continuity_p),
     (_much_wan_threshold_one_more, _suite_passes("much-wan", 3)),
     (_much_wan_threshold_one_less, _suite_passes("much-wan", 3)),
     (_much_wan_picks_one_target_fewer, _suite_passes("much-wan", 3)),
+    (_intersection_tests_only_its_first_part, _suite_passes("much-wan", 3)),
     (_dual_reach_zero, _class_scan_matches_a_naive_scan),
     (_scope_classes_ignore_reach, _class_scan_matches_a_naive_scan),
     (_valid_r_min_one_too_high, _least_valid_radii_admitted),
