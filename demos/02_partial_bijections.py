@@ -4,7 +4,7 @@
 # the left factor first; every element has a unique semigroup inverse, and
 # the idempotents are exactly the partial identities.
 
-from waning import PBij, collapse, reindex
+from waning import PBij, collapse
 
 a = PBij([(0, 3), (1, 4)])
 b = PBij([(3, 2), (4, 0)])
@@ -20,13 +20,6 @@ print("a * a^-1 * a == a:", a * a.inverse() * a == a)
 g = PBij([(0, 5), (3, 1), (7, 2)])
 print("\ng =", g)
 print("g restricted below 4:", g.restrict(4))
-
-# --- reindexing maps ----------------------------------------------------------
-
-# the order isomorphism between the naturals and the naturals avoiding a set
-avoid = {0, 2}
-print("\nenumeration of N \\ {0,2}:", [reindex(avoid, x) for x in range(6)])
-print("rank of 4 in N \\ {0,2}:", reindex(avoid, 4, "inverse"))
 
 # --- collapsing an extension ---------------------------------------------------
 

@@ -73,7 +73,7 @@ from .harness import (
     universe_size,
     waning_sample,
 )
-from .pbij import EMPTY, PBij, collapse, reindex
+from .pbij import EMPTY, PBij, collapse
 from .topology import (
     Comparison,
     FinitePoset,

@@ -14,17 +14,19 @@ part's scope, and other kinds give the whole universe.  Membership in a
 descriptor reads only an element's image and its pairs with source below the
 descriptor's reach, so a check generates the classes of its scope under
 (pairs below R, image), R covering both reaches, tests one representative
-per class, and reports a failing class whole.  The continuity check's
-factors come from one reader of the sorted universe, ``_member_classes``:
-the check uses every element it keeps, and universe elements keep the
-lookups that a generated element would build again.  The check groups left
-factors once, by their pairs with source below max(p, r) and their image,
-and right factors by their values on the left classes' low targets and the
-sources they send below r outside im(a * b); it tests one product per class
-pair, and when that product fails reports every product of the pair, once
-per factor pair.  The d-map check builds the up-set of id_n as the image of
-I_{B-n} under the shift, an isomorphism, and checks that the collapse
-inverts it.
+per class, and lists a failing class whole.  The continuity check generates
+its left factors the same way, as the classes of W(f, a, p)'s scope by
+(pairs below max(p, r), image) whose representative is a member; it counts
+a class by its size and lists it only when one of its products fails.  Its
+right factors come from the one reader of the sorted universe,
+``_member_classes``: the check uses every right factor it keeps, and
+universe elements keep the lookups that a generated element would build
+again.  It groups right factors by their values on the left classes' low
+targets and the sources they send below r outside im(a * b); it tests one
+product per class pair, and when that product fails reports every product
+of the pair, once per factor pair.  The d-map check builds the up-set of
+id_n as the image of I_{B-n} under the shift, an isomorphism, and checks
+that the collapse inverts it.
 """
 
 from __future__ import annotations
@@ -120,17 +122,20 @@ def _scope_classes(
     """The scope (below, r) of the universe, split into classes by (pairs
     with source below R, image), R = max(r, reach) clamped to ``bound``.
 
-    Each class is an iterator over its elements' sorted pairs, and its first
-    element is the class representative.  The scope is empty when ``below``
-    has a point at or past the bound.  Otherwise a class is fixed by
+    Each class is a triple (head, targets, tail): ``_class_elements`` lists
+    its elements' sorted pairs, ``_representative`` builds the first of
+    them, and it has math.perm(len(tail), len(targets)) elements.  The scope
+    is empty when ``below`` has a point at or past the bound.  Otherwise a
+    class is fixed by
     - Q, a partial injection from sources in [r, R) to targets outside
-      im(below), so that below + Q are the pairs below R, and
+      im(below), so that head = below + Q are the pairs below R, and
     - S, a set of the remaining targets with |S| <= bound - R, the image
-      of the pairs with source at least R.
-    Its elements send a |S|-subset of [R, bound) onto S in every way; the
-    representative sends R, R + 1, ... to S in increasing order.  Every
-    element of the scope falls in exactly one class, the one of its own
-    pairs below R and image.
+      of the pairs with source at least R, as ``targets`` in increasing
+      order; ``tail`` is range(R, bound).
+    Its elements send a |S|-subset of the tail onto S in every way, which is
+    C(|tail|, |S|) * |S|! = perm(|tail|, |S|) ways.  Every element of the
+    scope falls in exactly one class, the one of its own pairs below R and
+    image.
     """
     if any(x >= bound or y >= bound for x, y in below):
         return
@@ -145,13 +150,26 @@ def _scope_classes(
                 rest = [y for y in free if y not in ys]
                 for size in range(min(len(tail), len(rest)) + 1):
                     for targets in itertools.combinations(rest, size):
-                        yield _class_elements(head, targets, tail)
+                        yield head, targets, tail
 
 
 def _class_elements(head, targets, tail):
     for xs in itertools.combinations(tail, len(targets)):
         for ys in itertools.permutations(targets):
             yield head + tuple(zip(xs, ys))
+
+
+def _representative(head, targets, tail) -> PBij:
+    """The first element that ``_class_elements(head, targets, tail)``
+    lists, built without listing the class.
+
+    Its first combination of ``tail`` is the first len(targets) points of
+    ``tail``, and its first permutation of ``targets`` keeps their order, so
+    the first element is head + tuple(zip(tail, targets)): zip stops at
+    ``targets``, which is never longer than ``tail``.  The pairs are sorted,
+    as head's sources lie below tail's first point.
+    """
+    return PBij._from_sorted(head + tuple(zip(tail, targets)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,27 +227,27 @@ def _labelled(found: list[tuple[str, PBij]], label) -> list[tuple[str, PBij]]:
     return [(text + suffix, h) for suffix, h in found]
 
 
-def _failing(d1, d2, scopes, bound: int, fails) -> list[PBij]:
+def _failing(d1, d2, scopes, reach: int, bound: int, fails) -> list[PBij]:
     """The elements h of the ``scopes`` (``de._reach`` triples) with
-    ``fails(h in d1, h in d2)``, in universe order.  The scopes are disjoint.
-    Each is split into classes by (pairs below R, image), R covering both
-    reaches; membership in either set is constant on a class, as it reads
-    only those, so a class's representative alone is tested, and when it
-    fails the class is listed whole."""
+    ``fails(h in d1, h in d2)``, in universe order.  The scopes are disjoint,
+    and ``reach`` covers both sets' reaches.  Each scope is split into
+    classes by (pairs below ``reach``, image); membership in either set is
+    constant on a class, as it reads only those, so a class's representative
+    alone is tested, and only a class that fails is listed, whole."""
     _check_bound(bound)
-    reach = max(de._reach(d1)[2], de._reach(d2)[2])
     found = []
     for below, r, _ in scopes:
-        for elements in _scope_classes(below, r, reach, bound):
-            rep = PBij._from_sorted(next(elements))
+        for cls in _scope_classes(below, r, reach, bound):
+            rep = _representative(*cls)
             if fails(de.member(d1, rep), de.member(d2, rep)):
-                found += [rep, *map(PBij._from_sorted, elements)]
+                found += map(PBij._from_sorted, _class_elements(*cls))
     return sorted(found, key=_PAIRS)
 
 
 def _escapes(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[PBij]:
     """Universe elements in the first set but not the second."""
-    return _failing(d1, d2, [de._reach(d1)], bound, lambda a, b: a and not b)
+    s1, s2 = de._reach(d1), de._reach(d2)
+    return _failing(d1, d2, [s1], max(s1[2], s2[2]), bound, lambda a, b: a and not b)
 
 
 def _mismatches(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[PBij]:
@@ -243,9 +261,10 @@ def _mismatches(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[
     pairs below r1 are P1, and otherwise both, which share no element.
     """
     wide, narrow = sorted((de._reach(d) for d in (d1, d2)), key=itemgetter(1))
-    (p1, r1, _), (p2, _, _) = wide, narrow
+    (p1, r1, reach1), (p2, _, reach2) = wide, narrow
     nested = p2[: bisect_left(p2, (r1,))] == p1
-    return _failing(d1, d2, [wide] if nested else [wide, narrow], bound, ne)
+    scopes = [wide] if nested else [wide, narrow]
+    return _failing(d1, d2, scopes, max(reach1, reach2), bound, ne)
 
 
 def subset_check(
@@ -281,26 +300,23 @@ def _classes(items: Iterable[PBij], key) -> list[list[PBij]]:
     return list(groups.values())
 
 
-def _member_classes(
-    d: de.SetDescriptor, bound: int, reach: int = 0
-) -> list[list[PBij]]:
+def _member_classes(d: de.SetDescriptor, bound: int) -> list[list[PBij]]:
     """The members of ``d`` in the universe, in classes by (pairs with
-    source below R, image), R = max(``reach``, d's own reach), each class in
-    universe order.  No other function slices the sorted universe.
+    source below R, image), R d's reach, each class in universe order.  No
+    other function slices the sorted universe.
 
     In the sorted universe d's scope (P, r) is the element whose pairs are
     exactly P, then the run of elements that start with P and continue with
     a source of at least r.  Membership in d is constant on a class, as it
-    reads the image and the pairs below d's own reach, which the pairs below
-    R fix; so only each class's first element is tested.
+    reads the image and the pairs below R; so only each class's first
+    element is tested.
     """
     us = enumerate_universe(bound)
-    below, r, own = de._reach(d)
+    below, r, top = de._reach(d)
     at = bisect_left(us, below, key=_PAIRS)
     exact = us[at : at + 1] if at < len(us) and us[at].pairs == below else ()
     start = bisect_left(us, below + ((r,),), key=_PAIRS)
     stop = bisect_left(us, below + ((bound,),), key=_PAIRS)
-    top = max(reach, own)
     classes = _classes(
         itertools.chain(exact, us[start:stop]),
         lambda h: (h.pairs[: bisect_left(h.pairs, (top,))], h.image),
@@ -329,11 +345,15 @@ def product_containment_check(
 
     So a left factor d matters only through (its pairs below r, im(d)), and
     a right factor e only through (e at every low target of the left
-    classes, S(e)).  The left classes are the member classes of W(f, a, p)
-    by (pairs below max(p, r), image), which refine the first key, so the
-    left factors are grouped once.  A class pair whose tested product fails
-    has every product reported, once per factor pair that forms it;
-    ``cases`` still counts every factor pair.
+    classes, S(e)).  The left classes are generated: the scope classes of
+    W(f, a, p) by (pairs below max(p, r), image), which refine the first
+    key, kept when their representative is a member, as membership in
+    W(f, a, p) reads only its pairs below p and its image.  A left class is
+    counted by its size, math.perm(|tail|, |targets|), and listed only when
+    one of its products fails.  The right factors alone still slice the
+    sorted universe, through ``_member_classes``.  A class pair whose tested
+    product fails has every product reported, once per factor pair that
+    forms it; ``cases`` still counts every factor pair.
     """
     started = time.perf_counter()
     c = a * b
@@ -342,20 +362,26 @@ def product_containment_check(
     wa = de.WNbhd(f, a, p)
     wb = de.WNbhd(f, b, p)
     wc = de.WNbhd(f, c, r)
-    left_classes = _member_classes(wa, bound, r)
+    left = []
+    for cls in _scope_classes(de._reach(wa)[0], p, r, bound):
+        rep = _representative(*cls)
+        if de.member(wa, rep):
+            left.append((rep, cls))
     right = [e for es in _member_classes(wb, bound) for e in es]
-    shown = sorted({y for ds in left_classes for x, y in ds[0].pairs if x < r})
+    shown = sorted({y for d, _ in left for x, y in d.pairs if x < r})
+    low_out = frozenset(range(r)) - c.image
     right_classes = _classes(
         right,
         lambda e: (
             tuple(e.get(y) for y in shown),
-            tuple(x for x, y in e.pairs if y < r and not c.has_target(y)),
+            tuple(x for x, y in e.pairs if y in low_out),
         ),
     )
     found = []
-    for ds in left_classes:
+    for rep, cls in left:
         for es in right_classes:
-            if not de.member(wc, ds[0] * es[0]):
+            if not de.member(wc, rep * es[0]):
+                ds = map(PBij._from_sorted, _class_elements(*cls))
                 found += [("", d * e) for d in ds for e in es]
     found = _labelled(
         found,
@@ -363,7 +389,7 @@ def product_containment_check(
             "f": fn_to_obj(f), "a": pb_to_obj(a), "b": pb_to_obj(b), "p": p, "r": r
         },
     )
-    cases = sum(map(len, left_classes)) * len(right)
+    cases = sum(math.perm(len(tail), len(k)) for _, (_, k, tail) in left) * len(right)
     return _report("product-containment", cases, found, started)
 
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable
 
 from .errors import DomainError, PreconditionError
-from .functions import check_nat, nat_set
+from .functions import check_nat
 
 
 @dataclass(frozen=True)
@@ -131,29 +131,6 @@ class PBij:
 
 
 EMPTY = PBij()
-
-
-def reindex(avoid: Iterable[int], x: int, direction: Literal["forward", "inverse"] = "forward") -> int:
-    """Order isomorphism between the naturals and the naturals avoiding a finite set.
-
-    ``forward`` sends ``x`` to the x-th natural (0-based) outside ``avoid``;
-    ``inverse`` sends a natural outside ``avoid`` back to its rank.
-    """
-    avoid = nat_set(avoid)
-    check_nat(x)
-    if direction == "forward":
-        # each avoided point at or below the running value pushes it one up
-        value = x
-        for a in sorted(avoid):
-            if a > value:
-                break
-            value += 1
-        return value
-    if direction == "inverse":
-        if x in avoid:
-            raise DomainError(f"{x} lies in the avoided set")
-        return x - sum(1 for a in avoid if a < x)
-    raise DomainError(f"unknown direction {direction!r}")
 
 
 def collapse(g: PBij, h: PBij) -> PBij:

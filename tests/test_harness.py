@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import pickle
 from bisect import bisect_left
@@ -43,7 +44,6 @@ from waning import (
     member,
     preceq,
     product_containment_check,
-    reindex,
     run_suite,
     staircase,
     subset_check,
@@ -131,16 +131,16 @@ def test_universe_closed_under_operations():
             assert a * b in us
 
 
-def _assert_member_classes_exact(d, bound, reach):
+def _assert_member_classes_exact(d, bound):
     """``_member_classes`` against a scan of I_B: its classes hold exactly
     the members of d, each class in universe order, and each is one whole
-    class of (pairs below R, image), R = max(reach, d's own reach)."""
-    classes = harness._member_classes(d, bound, reach)
+    class of (pairs below R, image), R d's reach."""
+    classes = harness._member_classes(d, bound)
     us = enumerate_universe(bound)
     got = [h for hs in classes for h in hs]
     assert len(got) == len(set(got))
     assert set(got) == {h for h in us if member(d, h)}
-    top = max(reach, de._reach(d)[2])
+    top = de._reach(d)[2]
     keys = []
     for hs in classes:
         assert hs == sorted(hs, key=harness._PAIRS)
@@ -149,10 +149,10 @@ def _assert_member_classes_exact(d, bound, reach):
     assert len(set(keys)) == len(keys)
 
 
-@given(descriptors(), st.integers(0, 4), st.integers(0, 6))
+@given(descriptors(), st.integers(0, 4))
 @settings(max_examples=80, deadline=None)
-def test_member_classes_match_random_descriptors(d, bound, reach):
-    _assert_member_classes_exact(d, bound, reach)
+def test_member_classes_match_random_descriptors(d, bound):
+    _assert_member_classes_exact(d, bound)
 
 
 @given(
@@ -160,22 +160,21 @@ def test_member_classes_match_random_descriptors(d, bound, reach):
     pbijs(max_point=6, max_size=3),
     st.sampled_from(["zero", "min", "bound", "past"]),
     st.integers(0, 4),
-    st.integers(0, 6),
 )
 @settings(max_examples=150, deadline=None)
-def test_member_classes_match_prefix_sets(f, g, radius, bound, reach):
+def test_member_classes_match_prefix_sets(f, g, radius, bound):
     r = {
         "zero": 0,
         "min": valid_r_min(f, g),
         "bound": max(bound, valid_r_min(f, g)),
         "past": max(bound, valid_r_min(f, g)) + 2,
     }[radius]
-    _assert_member_classes_exact(FixBelow(g, r), bound, reach)
+    _assert_member_classes_exact(FixBelow(g, r), bound)
     try:
         w = WNbhd(f, g, r)
     except InvalidDescriptor:
         return
-    _assert_member_classes_exact(w, bound, reach)
+    _assert_member_classes_exact(w, bound)
 
 
 @given(descriptors(), descriptors(), st.integers(0, 4))
@@ -207,7 +206,8 @@ def test_scope_classes_partition_the_scope(bound, data):
     # drawn from I_{B+1}, so the prefix may hold a point at or past the bound
     g = data.draw(st.sampled_from(enumerate_universe(bound + 1)), label="g")
     below = _below(g.pairs, r)
-    classes = [list(c) for c in harness._scope_classes(below, r, reach, bound)]
+    triples = list(harness._scope_classes(below, r, reach, bound))
+    classes = [list(harness._class_elements(*t)) for t in triples]
     got = [pairs for c in classes for pairs in c]
     assert len(got) == len(set(got))
     assert set(got) == {
@@ -227,6 +227,11 @@ def test_scope_classes_partition_the_scope(bound, data):
         assert past == tuple(zip(range(reach, reach + len(past)), sorted(y for _, y in past)))
     # one class per key: the classes are whole key classes
     assert len(set(keys)) == len(keys)
+    # the representative is the first element listed, built without listing,
+    # and the size needs no listing either
+    for (head, targets, tail), c in zip(triples, classes):
+        assert harness._representative(head, targets, tail).pairs == c[0]
+        assert len(c) == math.perm(len(tail), len(targets))
 
 
 @given(st.data(), st.integers(0, 4))
@@ -755,10 +760,6 @@ def test_run_suite_rejects_bad_jobs():
         lambda: staircase(2.5),
         lambda: staircase(-1),
         lambda: descending_chain_element(-1),
-        lambda: reindex({0}, 1.5),
-        lambda: reindex([1.5], 2),
-        lambda: reindex([-3], 2),
-        lambda: reindex([True], 2, "inverse"),
         lambda: PBij.identity(True),
         lambda: PBij.identity(-1),
         lambda: PBij.identity(2.0),
@@ -780,10 +781,6 @@ def test_run_suite_rejects_bad_jobs():
         "staircase-float",
         "staircase-negative",
         "chain-negative",
-        "reindex-float",
-        "reindex-avoid-float",
-        "reindex-avoid-negative",
-        "reindex-avoid-bool",
         "identity-bool",
         "identity-negative",
         "identity-float",

@@ -9,6 +9,7 @@ that formula is the one in use.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -52,6 +53,11 @@ def _continuity_right_key_drops_s(monkeypatch):
         return real(items, weaker)
 
     monkeypatch.setattr(harness, "_classes", fault)
+
+
+def _left_class_size_by_comb(monkeypatch):
+    # continuity counts a left class as perm(|tail|, |targets|) elements
+    monkeypatch.setattr(math, "perm", math.comb)
 
 
 def _dual_reach_zero(monkeypatch):
@@ -152,6 +158,7 @@ MUTANTS = [
     (closure_drops_its_last_drop, _suite_passes("much-wan", 3)),
     (_collapse_swap_conjugate, _suite_passes("d-map", 3)),
     (_continuity_right_key_drops_s, products_match_below_continuity_p),
+    (_left_class_size_by_comb, products_match_below_continuity_p),
     (_much_wan_threshold_one_more, _suite_passes("much-wan", 3)),
     (_much_wan_threshold_one_less, _suite_passes("much-wan", 3)),
     (_much_wan_picks_one_target_fewer, _suite_passes("much-wan", 3)),

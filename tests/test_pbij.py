@@ -5,14 +5,13 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given
 
-from strategies import deadline, pbijs
+from strategies import pbijs
 from waning import (
     EMPTY,
     DomainError,
     PBij,
     PreconditionError,
     collapse,
-    reindex,
 )
 
 
@@ -73,54 +72,17 @@ def test_lookup_cache_leaves_value_semantics_alone():
         assert copy.domain == {0, 3, 4} and copy.image == {1, 4, 5}
 
 
-def test_reindex_examples():
-    assert reindex({0, 2}, 1) == 3
-    assert reindex(set(), 7) == 7
-    assert reindex({0, 2}, 4, "inverse") == 2
-    with pytest.raises(DomainError):
-        reindex({0, 2}, 2, "inverse")
-
-
-def test_reindex_roundtrip():
-    avoid = {1, 4, 5}
-    for x in range(20):
-        assert reindex(avoid, reindex(avoid, x), "inverse") == x
-    for y in range(20):
-        if y not in avoid:
-            assert reindex(avoid, reindex(avoid, y, "inverse")) == y
-
-
-def reindex_walk(avoid, x):
-    """Oracle: count x + 1 naturals outside ``avoid`` one at a time."""
-    value, remaining = -1, x + 1
-    while remaining:
-        value += 1
-        if value not in avoid:
-            remaining -= 1
-    return value
-
-
-@given(st.frozensets(st.integers(0, 12), max_size=6), st.integers(0, 15))
-def test_reindex_forward_matches_walk(avoid, x):
-    assert reindex(avoid, x) == reindex_walk(avoid, x)
-
-
-def test_reindex_forward_far_point():
-    with deadline(2):
-        assert reindex({0, 2, 10**9 + 5}, 10**9) == 10**9 + 2
+def rank(avoid, x):
+    """The number of naturals below x outside ``avoid``, counted one by one."""
+    return sum(1 for v in range(x) if v not in avoid)
 
 
 def collapse_oracle(g: PBij, h: PBij) -> PBij:
-    """Pointwise composition of the three reindexing maps."""
-    probe = max((x for x, _ in h.pairs), default=-1) + 2
-    pairs = []
-    for x in range(probe):
-        mid = reindex(g.domain, x)
-        y = h.get(mid)
-        if y is None or g.has_target(y):
-            continue
-        pairs.append((x, reindex(g.image, y, "inverse")))
-    return PBij(pairs)
+    """h's pairs off g, each source ranked outside dom(g) and each target
+    outside im(g)."""
+    return PBij(
+        (rank(g.domain, x), rank(g.image, y)) for x, y in h.pairs if x not in g.domain
+    )
 
 
 def test_collapse_examples():
