@@ -37,7 +37,10 @@ print("is_waning(f):", is_waning(f))
 # the greatest waning function sitting below it pointwise
 g = GenFn(prefix=(5, 5, 5))
 print("\nclosure of (5,5,5,0,...):", closure(g))
-print("closure is idempotent:", closure(closure(g).as_genfn()) == closure(g))
+c = closure(g)
+# c's values listed as an eventually-constant function have closure c again
+listed = GenFn(prefix=tuple(c(i) for i in range(c.support_end)))
+print("closure is idempotent:", closure(listed) == c)
 
 # everywhere-OMEGA input collapses to the constant-OMEGA function
 print("closure of all-OMEGA:", closure(GenFn(tail=OMEGA, omega=OMEGA)))

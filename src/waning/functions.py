@@ -149,18 +149,6 @@ class WaningFn:
             raise OmegaEntries("constant-omega function never reaches 0")
         return self.omega_prefix + len(self.drops)
 
-    def as_genfn(self) -> GenFn:
-        """The same function with its leading values listed; raises
-        BoundTooLarge when there are more than SIZE_LIMIT of them."""
-        if self.const_omega:
-            return GenFn(prefix=(), tail=OMEGA, omega=OMEGA)
-        if self.support_end > SIZE_LIMIT:
-            raise BoundTooLarge(
-                f"{self.support_end} leading values, above {SIZE_LIMIT}"
-            )
-        values = tuple(self(i) for i in range(self.support_end))
-        return GenFn(prefix=values, tail=0, omega=0)
-
     def sort_key(self) -> tuple:
         return (1 if self.const_omega else 0, self.omega_prefix, self.drops)
 

@@ -18,15 +18,17 @@ per class, and lists a failing class whole.  The continuity check generates
 its left factors the same way, as the classes of W(f, a, p)'s scope by
 (pairs below max(p, r), image) whose representative is a member; it counts
 a class by its size and lists it only when one of its products fails.  Its
-right factors come from the one reader of the sorted universe,
-``_member_classes``: the check uses every right factor it keeps, and
-universe elements keep the lookups that a generated element would build
-again.  It groups right factors by their values on the left classes' low
-targets and the sources they send below r outside im(a * b); it tests one
-product per class pair, and when that product fails reports every product
-of the pair, once per factor pair.  The d-map check builds the up-set of
-id_n as the image of I_{B-n} under the shift, an isomorphism, and checks
-that the collapse inverts it.
+right factors are the members of W(f, b, p) in its scope slice of the
+sorted universe, through ``_scope_members``, the one reader of that order:
+every element of the slice agrees with b below p, so membership is tested
+once per image.  The check uses every right factor it keeps, and universe
+elements keep the lookups that a generated element would build again.  It
+groups right factors by their values on the left classes' low targets and
+the sources they send below r outside im(a * b); it tests one product per
+class pair, and when that product fails reports every product of the pair,
+once per factor pair.  The d-map check builds the up-set of id_n as the
+image of I_{B-n} under the shift, an isomorphism, and checks that the
+collapse inverts it.
 """
 
 from __future__ import annotations
@@ -300,28 +302,32 @@ def _classes(items: Iterable[PBij], key) -> list[list[PBij]]:
     return list(groups.values())
 
 
-def _member_classes(d: de.SetDescriptor, bound: int) -> list[list[PBij]]:
-    """The members of ``d`` in the universe, in classes by (pairs with
-    source below R, image), R d's reach, each class in universe order.  No
-    other function slices the sorted universe.
+def _scope_members(d: de.SetDescriptor, bound: int) -> list[PBij]:
+    """The members of ``d`` in the universe, in universe order, for a
+    descriptor whose reach is at most its scope radius (W and FixBelow).
+    No other function slices the sorted universe.
 
     In the sorted universe d's scope (P, r) is the element whose pairs are
     exactly P, then the run of elements that start with P and continue with
-    a source of at least r.  Membership in d is constant on a class, as it
-    reads the image and the pairs below R; so only each class's first
-    element is tested.
+    a source of at least r.  Every element there has P as its pairs below
+    the reach, so membership reads only the image, and is tested once per
+    image.
     """
     us = enumerate_universe(bound)
-    below, r, top = de._reach(d)
+    below, r, _ = de._reach(d)
     at = bisect_left(us, below, key=_PAIRS)
     exact = us[at : at + 1] if at < len(us) and us[at].pairs == below else ()
     start = bisect_left(us, below + ((r,),), key=_PAIRS)
     stop = bisect_left(us, below + ((bound,),), key=_PAIRS)
-    classes = _classes(
-        itertools.chain(exact, us[start:stop]),
-        lambda h: (h.pairs[: bisect_left(h.pairs, (top,))], h.image),
-    )
-    return [hs for hs in classes if de.member(d, hs[0])]
+    verdicts: dict = {}
+    members = []
+    for h in itertools.chain(exact, us[start:stop]):
+        image = h.image
+        if image not in verdicts:
+            verdicts[image] = de.member(d, h)
+        if verdicts[image]:
+            members.append(h)
+    return members
 
 
 def product_containment_check(
@@ -350,8 +356,9 @@ def product_containment_check(
     key, kept when their representative is a member, as membership in
     W(f, a, p) reads only its pairs below p and its image.  A left class is
     counted by its size, math.perm(|tail|, |targets|), and listed only when
-    one of its products fails.  The right factors alone still slice the
-    sorted universe, through ``_member_classes``.  A class pair whose tested
+    one of its products fails.  The right factors are the members of
+    W(f, b, p) in its scope slice of the sorted universe, through
+    ``_scope_members``, tested once per image.  A class pair whose tested
     product fails has every product reported, once per factor pair that
     forms it; ``cases`` still counts every factor pair.
     """
@@ -367,7 +374,7 @@ def product_containment_check(
         rep = _representative(*cls)
         if de.member(wa, rep):
             left.append((rep, cls))
-    right = [e for es in _member_classes(wb, bound) for e in es]
+    right = _scope_members(wb, bound)
     shown = sorted({y for d, _ in left for x, y in d.pairs if x < r})
     low_out = frozenset(range(r)) - c.image
     right_classes = _classes(
@@ -776,24 +783,22 @@ def _compact_cases(bound: int, seed: int, sample: int) -> list:
 
 def _compact_eval(bound: int, case) -> list[tuple[str, PBij]]:
     n, h0, avoid, covered, with_dommiss = case
-    label = dumps(
-        {
-            "n": n,
-            "h0": pb_to_obj(h0),
-            "X": sorted(avoid),
-            "covered": sorted(covered),
-            "dommiss": with_dommiss,
-        }
-    )
     w = de.cover_witness(n, h0, avoid, covered, with_dommiss)
     in_base = w.restrict(n) == h0 and not (w.image & avoid)
     target = w.get(n)
     escapes = all(target != m for m in covered) and (
         not with_dommiss or target is not None
     )
-    if not (in_base and escapes):
-        return [(label, w)]
-    return []
+    return _labelled(
+        [] if in_base and escapes else [("", w)],
+        lambda: {
+            "n": n,
+            "h0": pb_to_obj(h0),
+            "X": sorted(avoid),
+            "covered": sorted(covered),
+            "dommiss": with_dommiss,
+        },
+    )
 
 
 _SUITES = {

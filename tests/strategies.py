@@ -106,6 +106,14 @@ def closure_closed_form(f: GenFn, i: int):
     return best if is_omega(best) else max(0, best)
 
 
+def as_genfn(w: WaningFn) -> GenFn:
+    """The waning function ``w`` with its leading values listed: the same
+    function as a GenFn, for checking code that takes either type."""
+    if w.const_omega:
+        return GenFn(tail=OMEGA, omega=OMEGA)
+    return GenFn(prefix=tuple(w(i) for i in range(w.support_end)))
+
+
 def pointwise_leq(f, g, horizon: int) -> bool:
     """f(i) <= g(i) for all finite i up to a horizon covering both supports."""
     return all(f(i) <= g(i) for i in range(horizon))

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from strategies import closure_closed_form, pointwise_leq
+from strategies import as_genfn, closure_closed_form, pointwise_leq
 from test_mutants import MUTANTS
 from waning import (
     CONST_ZERO,
@@ -63,9 +63,9 @@ def test_criterion_02_closure_laws():
                     window = (
                         0 if c.const_omega else c.support_end
                     ) + size + 2
-                    ok &= is_waning(c.as_genfn())
+                    ok &= is_waning(as_genfn(c))
                     ok &= pointwise_leq(c, f, window)
-                    ok &= closure(c.as_genfn()) == c
+                    ok &= closure(as_genfn(c)) == c
                     ok &= all(
                         c(i) == closure_closed_form(f, i) for i in range(window)
                     )

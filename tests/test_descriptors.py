@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import (
+    as_genfn,
     assert_rebuilds,
     deadline,
     descriptors,
@@ -470,7 +471,7 @@ def test_much_wan_waning_input_is_identity():
     f = WaningFn(drops=(3, 1))
     g = pb((1, 4))
     r = valid_r_min(f, g)
-    got = much_wan_witness(f.as_genfn(), g, r)
+    got = much_wan_witness(as_genfn(f), g, r)
     assert brute_equal(got, WNbhd(f, g, r), 4)
 
 
@@ -507,11 +508,11 @@ def test_tfprime_zero_branch():
 
 def test_tfprime_on_waning_input_stays_basic():
     w = WaningFn(drops=(3, 1))
-    got = tfprime_refinement(w.as_genfn(), 1, {0}, pb((1, 2)))
+    got = tfprime_refinement(as_genfn(w), 1, {0}, pb((1, 2)))
     assert got == UBasic(w, 1, frozenset({0}))
     g = pb((0, 1), (1, 2))
     assert w(len(g)) == 0
-    got = tfprime_refinement(w.as_genfn(), 1, {4}, g)
+    got = tfprime_refinement(as_genfn(w), 1, {4}, g)
     assert isinstance(got, WNbhd) and got.f == w
 
 
@@ -522,7 +523,7 @@ def test_witnesses_read_a_waning_fn_as_its_genfn(w):
     def members(d):
         return [h for h in us if member(d, h)]
 
-    f = w.as_genfn()
+    f = as_genfn(w)
     for g in enumerate_universe(2):
         r = valid_r_min(w, g)
         for radius in (r, r + 2):
