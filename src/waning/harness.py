@@ -847,18 +847,51 @@ def _send_share(write_end: int, evaluate, bound: int, cases: list):
         os._exit(code)
 
 
+# The rest of a run is forked out only when it would take longer than this
+# serially.  Medians of 50-300 round trips on a 2-CPU Xeon VM, Python
+# 3.11.7: forking one child, unpickling the empty result it pipes back and
+# reaping it takes 1.7-1.8 ms in a 20 MB process with I_5 and I_6 built and
+# 2.0-2.1 ms at 25 MB, the size of a B = 6 benchmark run; a child that reads
+# every element of I_6 ends 2.5-3.3 ms later than the same read in-process,
+# its copy-on-write faults included.  Two workers end the rest in about half
+# its serial time plus one round trip, so a fork pays once the rest passes
+# about twice the round trip.
+FORK_MIN_REST_S = 0.005
+
+
 def _evaluate(evaluate, bound: int, cases: list, workers: int) -> list:
-    """Counterexamples of ``cases`` from ``workers`` processes: this one
-    evaluates ``cases[0::workers]``, and forked child ``i`` evaluates
-    ``cases[i::workers]`` of the list it inherited and sends the result down
-    its own pipe; one worker forks nothing.  A child's exception is raised
-    here; a child that ends without sending its whole result raises
-    ChildProcessError.  Each pipe is read to EOF before its child is reaped,
-    so no result is too large to send; if anything raises, the children
-    still running are killed, and every child is reaped before this returns."""
-    if workers > 1:  # a serial run loads neither
-        import pickle
-        import signal
+    """Counterexamples of ``cases``, evaluated in order in this process
+    until the cases done show that the rest is worth a fork.  After each
+    case the rest's serial time is estimated as elapsed × left / done; once
+    that passes FORK_MIN_REST_S (5 ms, about twice the 2.0-2.1 ms fork,
+    pipe, pickle and reap round trip measured in a 25 MB process) with at
+    least two cases left, the rest is shared among min(workers, left)
+    workers by ``_evaluate_shared``.  One worker forks nothing.  Deciding
+    again after every case forks a run whose costly cases follow cheap ones
+    as soon as one of them is done."""
+    found = []
+    started = time.perf_counter()
+    for done, case in enumerate(cases, 1):
+        found += evaluate(bound, case)
+        left = len(cases) - done
+        shared = min(workers, left)
+        if shared > 1 and (time.perf_counter() - started) * left / done > FORK_MIN_REST_S:
+            return found + _evaluate_shared(evaluate, bound, cases[done:], shared)
+    return found
+
+
+def _evaluate_shared(evaluate, bound: int, cases: list, workers: int) -> list:
+    """Counterexamples of ``cases`` from ``workers`` processes, at least
+    two: this one evaluates ``cases[0::workers]``, and forked child ``i``
+    evaluates ``cases[i::workers]`` of the list it inherited and sends the
+    result down its own pipe.  A child's exception is raised here; a child
+    that ends without sending its whole result raises ChildProcessError.
+    Each pipe is read to EOF before its child is reaped, so no result is too
+    large to send; if anything raises, the children still running are
+    killed, and every child is reaped before this returns."""
+    import pickle
+    import signal
+
     children = {}  # pid -> read end of the child's pipe, until it is reaped
     try:
         for share in range(1, workers):
@@ -905,10 +938,15 @@ def run_suite(
     """Run one named invariant battery and report counterexamples.
 
     Identical (bound, seed, sample) give identical reports apart from the
-    elapsed time, whatever the worker count.  The cases are shared among
-    ``min(jobs, cases, available CPUs)`` workers, at least one: the calling
-    process is one of them, and the others are forked children that evaluate
-    their share of the cases they inherited, without building them again.
+    elapsed time, whatever the worker count.  The calling process evaluates
+    the cases in order, and after each one estimates the rest's serial time
+    as elapsed × left / done.  Once that passes FORK_MIN_REST_S (5 ms, about
+    twice a measured fork, pipe, pickle and reap round trip of 2.0-2.1 ms in
+    a 25 MB process) with at least two cases left, the rest is shared among
+    ``min(jobs, left, available CPUs)`` workers: the calling process is one
+    of them, and the others are forked children that evaluate their share
+    of the cases they inherited, without building them again.  So ``jobs``
+    is an upper bound, and a run whose cases are cheap forks nothing.
     """
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r} (have {', '.join(_SUITES)})")
@@ -926,6 +964,5 @@ def run_suite(
         raise DomainError(f"jobs must be at least 1, got {jobs}")
     started = time.perf_counter()
     cases = build(bound, seed, sample)
-    workers = max(1, min(jobs, len(cases), available_cpus()))
-    found = _evaluate(evaluate, bound, cases, workers)
+    found = _evaluate(evaluate, bound, cases, min(jobs, available_cpus()))
     return _report(name, len(cases), found, started)

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import os
 import random
 import signal
 
@@ -209,6 +210,20 @@ def products_match_below_continuity_p() -> bool:
             if not matches_all_products(f, a, b, 3):
                 return False
     return True
+
+
+def count_forks(monkeypatch):
+    """Patch ``harness.os.fork`` to record the caller's pid on each fork;
+    returns the record."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(harness.os, "fork", counting_fork)
+    return forks
 
 
 @contextlib.contextmanager

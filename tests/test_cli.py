@@ -7,7 +7,8 @@ import pytest
 
 import waning
 import waning.cli as cli
-from strategies import deadline
+import waning.harness as harness
+from strategies import count_forks, deadline
 from waning.cli import main
 from waning.harness import MAX_BOUND, run_suite
 
@@ -389,6 +390,18 @@ def test_verify_jobs_flag(capsys, monkeypatch):
     )
     assert run(capsys, "verify", "--suite", "census", "--jobs", "0")[0] == 0
     assert seen == [5]
+
+
+def test_cheap_runs_fork_nothing(capsys, monkeypatch):
+    # with 2 CPUs and the real FORK_MIN_REST_S: no case of d-map at bound 2
+    # or of census leaves more than about 0.3 ms estimated for the rest
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(harness, "available_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "available_cpus", lambda: 2)
+    assert run_suite("d-map", bound=2, jobs=2).ok
+    code, out, _ = run(capsys, "verify", "--suite", "census")
+    assert code == 0 and "census: pass" in out
+    assert forks == []
 
 
 def test_verify_continuity_small(capsys):

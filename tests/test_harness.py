@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pickle
+import time
 from bisect import bisect_left
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from strategies import (
     basis_refinement_one_less,
     closure_drops_its_last_drop,
+    count_forks,
     deadline,
     descriptors,
     least_joint_radius,
@@ -388,8 +390,11 @@ def test_failing_reports_stay_byte_identical(
 ):
     fault(monkeypatch)
     monkeypatch.setattr(harness, "available_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "FORK_MIN_REST_S", 0)
+    forks = count_forks(monkeypatch)
     obj = run_suite(name, bound=bound, seed=seed, jobs=jobs).to_obj()
     del obj["ms"]
+    assert len(forks) == jobs - 1
     assert len(obj["counterexamples"]) == count
     assert hashlib.sha256(json.dumps(obj).encode()).hexdigest() == digest
 
@@ -599,9 +604,14 @@ def test_determinism_same_seed():
     assert (a.name, a.cases, a.counterexamples) == (b.name, b.cases, b.counterexamples)
 
 
-def test_determinism_across_workers():
+def test_determinism_across_workers(monkeypatch):
+    monkeypatch.setattr(harness, "available_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "FORK_MIN_REST_S", 0)
+    forks = count_forks(monkeypatch)
     serial = run_suite("remark", bound=4, seed=1)
+    assert forks == []
     parallel = run_suite("remark", bound=4, seed=1, jobs=2)
+    assert len(forks) == 1
     assert serial.cases == parallel.cases
     assert serial.counterexamples == parallel.counterexamples
 
@@ -611,42 +621,42 @@ def _unrestorable():
 
 
 def test_counterexamples_come_back_from_workers(monkeypatch):
-    # a named fault makes d-map fail; of its cases n = 0, 1, 2 the forked
-    # child of two workers evaluates n = 1, which fails
+    # a named fault makes d-map fail; of its cases n = 0, 1, 2 the caller
+    # evaluates n = 0, then shares the rest with one forked child, which
+    # evaluates n = 2, which fails
     monkeypatch.setattr(harness, "collapse", swap_conjugate)
     monkeypatch.setattr(harness, "available_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "FORK_MIN_REST_S", 0)
+    forks = count_forks(monkeypatch)
     # a PBij need not unpickle: only builtins cross the pipe from a child
     monkeypatch.setattr(PBij, "__reduce__", lambda self: (_unrestorable, ()))
     serial = run_suite("d-map", bound=4, jobs=1).to_obj()
     with deadline(20):
         parallel = run_suite("d-map", bound=4, jobs=2).to_obj()
+    assert len(forks) == 1
     del serial["ms"], parallel["ms"]
     assert parallel == serial
-    from_child = dumps({"idempotent": [[0, 0]]}) + "#inverse"
+    from_child = dumps({"idempotent": [[0, 0], [1, 1]]}) + "#inverse"
     assert from_child in {c["inputs"] for c in serial["counterexamples"]}
 
 
 def test_run_suite_caps_workers(monkeypatch):
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(harness.os, "fork", counting_fork)
+    forks = count_forks(monkeypatch)
     monkeypatch.setattr(harness, "available_cpus", lambda: 3)
+    monkeypatch.setattr(harness, "FORK_MIN_REST_S", 0)
     serial = run_suite("remark", bound=3)
     assert forks == []
-    # 10 remark cases, then 3 d-map cases, on 3 CPUs: the caller is one of
-    # the 3 workers, so each run forks 2; one CPU runs in-process
+    # on 3 CPUs the caller evaluates the first case, then is one of the
+    # workers for the rest: the 9 remark cases left take 3 workers, so 2
+    # forks; the 2 d-map cases left take 2 workers, so 1; one CPU runs
+    # in-process
     capped = run_suite("remark", bound=3, jobs=1000)
     assert len(forks) == 2
     few = run_suite("d-map", bound=2, jobs=1000)
-    assert len(forks) == 4
+    assert len(forks) == 3
     monkeypatch.setattr(harness, "available_cpus", lambda: 1)
     run_suite("remark", bound=3, jobs=1000)
-    assert len(forks) == 4
+    assert len(forks) == 3
     assert capped.cases == serial.cases
     assert capped.counterexamples == serial.counterexamples
     assert few.ok and few.cases == 3
@@ -654,15 +664,9 @@ def test_run_suite_caps_workers(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_zero_case_run_forks_nothing(monkeypatch, jobs):
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(harness.os, "fork", counting_fork)
+    forks = count_forks(monkeypatch)
     monkeypatch.setattr(harness, "available_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "FORK_MIN_REST_S", 0)
     rep = run_suite("basis", sample=0, jobs=jobs)
     assert rep.ok and rep.cases == 0
     assert forks == []
@@ -672,9 +676,10 @@ class CaseFailed(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing", [1, 0], ids=["child", "caller"])
+# with 2 workers and FORK_MIN_REST_S at 0 the caller evaluates case 0, then
+# shares cases 1-5: it evaluates 1, 3 and 5, and the forked child 2 and 4
+@pytest.mark.parametrize("failing", [2, 1], ids=["child", "caller"])
 def test_a_raising_case_surfaces_and_leaves_no_child(monkeypatch, failing):
-    # with 2 workers the caller evaluates the even cases, the child the odd
     def evaluate(bound, case):
         if case == failing:
             raise CaseFailed(f"case {case}")
@@ -682,8 +687,11 @@ def test_a_raising_case_surfaces_and_leaves_no_child(monkeypatch, failing):
 
     monkeypatch.setitem(harness._SUITES, "remark", (lambda *_: list(range(6)), evaluate, 3, 0))
     monkeypatch.setattr(harness, "available_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "FORK_MIN_REST_S", 0)
+    forks = count_forks(monkeypatch)
     with deadline(20), pytest.raises(CaseFailed, match=f"case {failing}"):
         run_suite("remark", jobs=2)
+    assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -692,14 +700,17 @@ def test_a_child_that_dies_without_a_result_raises(monkeypatch):
     caller = os.getpid()
 
     def evaluate(bound, case):
-        if case == 1 and os.getpid() != caller:
+        if case == 2 and os.getpid() != caller:
             os._exit(3)
         return [(f"case {case}", EMPTY)]
 
     monkeypatch.setitem(harness._SUITES, "remark", (lambda *_: list(range(6)), evaluate, 3, 0))
     monkeypatch.setattr(harness, "available_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "FORK_MIN_REST_S", 0)
+    forks = count_forks(monkeypatch)
     with deadline(20), pytest.raises(ChildProcessError, match="exit code 3"):
         run_suite("remark", jobs=2)
+    assert len(forks) == 1
 
 
 def test_a_result_larger_than_the_pipe_buffer_comes_back_whole(monkeypatch):
@@ -710,14 +721,63 @@ def test_a_result_larger_than_the_pipe_buffer_comes_back_whole(monkeypatch):
 
     monkeypatch.setitem(harness._SUITES, "remark", (lambda *_: list(range(10)), evaluate, 3, 0))
     monkeypatch.setattr(harness, "available_cpus", lambda: 2)
-    child_share = [(label, h.pairs) for case in range(1, 10, 2) for label, h in evaluate(3, case)]
+    monkeypatch.setattr(harness, "FORK_MIN_REST_S", 0)
+    forks = count_forks(monkeypatch)
+    # the caller evaluates case 0 and then 1, 3, 5, 7 and 9; the child 2-8
+    child_share = [(label, h.pairs) for case in range(2, 10, 2) for label, h in evaluate(3, case)]
     assert len(pickle.dumps(child_share)) > 1 << 20
     serial = run_suite("remark", jobs=1).to_obj()
     with deadline(20):
         parallel = run_suite("remark", jobs=2).to_obj()
+    assert len(forks) == 1
     del serial["ms"], parallel["ms"]
     assert parallel == serial
     assert len(serial["counterexamples"]) == 3000
+
+
+def _sleepy_suite(monkeypatch, cases, slow):
+    """Put a suite of ``cases`` cases in place of remark: each finds one
+    counterexample, and the cases in ``slow`` first sleep four times
+    FORK_MIN_REST_S.  Returns the cases that this process evaluates."""
+    caller, seen = os.getpid(), []
+
+    def evaluate(bound, case):
+        if os.getpid() == caller:
+            seen.append(case)
+        if case in slow:
+            time.sleep(4 * harness.FORK_MIN_REST_S)
+        return [(f"case {case}", PBij([(case, 0)]))]
+
+    monkeypatch.setitem(harness._SUITES, "remark", (lambda *_: list(range(cases)), evaluate, 3, 0))
+    monkeypatch.setattr(harness, "available_cpus", lambda: 2)
+    return seen
+
+
+def test_slow_cases_fork_one_child_and_give_the_serial_report(monkeypatch):
+    seen = _sleepy_suite(monkeypatch, 4, range(4))
+    forks = count_forks(monkeypatch)
+    serial = run_suite("remark", jobs=1).to_obj()
+    assert forks == [] and seen == [0, 1, 2, 3]
+    # after case 0 the rest is estimated at 12 times FORK_MIN_REST_S, so two
+    # workers share cases 1-3: the caller evaluates 1 and 3
+    seen.clear()
+    with deadline(20):
+        parallel = run_suite("remark", jobs=2).to_obj()
+    assert len(forks) == 1 and seen == [0, 1, 3]
+    del serial["ms"], parallel["ms"]
+    assert parallel == serial
+    assert len(serial["counterexamples"]) == 4
+
+
+def test_a_run_forks_after_its_first_slow_case(monkeypatch):
+    # cases 0 and 1 return at once and 2-5 sleep, so the estimate first
+    # passes FORK_MIN_REST_S after case 2; the caller then evaluates 3 and 5
+    seen = _sleepy_suite(monkeypatch, 6, range(2, 6))
+    forks = count_forks(monkeypatch)
+    with deadline(20):
+        report = run_suite("remark", jobs=2)
+    assert len(forks) == 1 and seen == [0, 1, 2, 3, 5]
+    assert [h for _, h in report.counterexamples] == [PBij([(c, 0)]) for c in range(6)]
 
 
 def test_run_suite_refuses_samples_above_the_size_limit(monkeypatch):
