@@ -334,29 +334,53 @@ def basis_refinement(f: WaningFn, n: int, avoid: Iterable[int], g: PBij) -> int:
     return r
 
 
+def _least_costs(f: Union[GenFn, WaningFn], i: int, size: int) -> tuple:
+    """(m(i), j, m(size)) for i <= size, where m(k) is the least f(k') + k'
+    over k' <= k and j is the first index taking m(i).  OMEGA absorbs ``+ k'``."""
+    least, j = OMEGA, 0
+    for k in range(i + 1):
+        cost = f(k) + k
+        if cost < least:
+            least, j = cost, k
+    least_i = least
+    for k in range(i + 1, size + 1):
+        least = min(least, f(k) + k)
+    return least_i, j, least
+
+
 def much_wan_witness(f: Union[GenFn, WaningFn], g: PBij, r: int) -> SetDescriptor:
     """Descriptor over the original function equal to the closure neighbourhood.
 
     For the waning closure f' of f and a radius valid for (f', g), returns a
     set built from f alone that agrees pointwise with the (f', g, r)
-    neighbourhood on finite elements.  Raises BoundTooLarge when a finite
-    budget makes that set list the more than SIZE_LIMIT points of range(r).
+    neighbourhood on finite elements.  Raises PreconditionError for a radius
+    not valid for (f', g), and BoundTooLarge when a finite budget makes that
+    set list the more than SIZE_LIMIT points of range(r).
+
+    f' is read off one scan of f over k <= |g|, without building it:
+    f'(k) = max(0, m(k) - k), where m(k) is the least f(j) + j over j <= k.
+    Proof, by induction on k: ``closure`` sets f'(0) = f(0) = m(0), and while
+    f'(k) = m(k) - k > 0 it sets f'(k + 1) = min(f(k + 1), m(k) - k - 1)
+    = m(k + 1) - (k + 1), which is at least 0; once m(k) - k <= 0 the
+    closure stays at 0 and m(k) - k keeps falling.  OMEGA minus a count is
+    OMEGA, so a run of OMEGA values stays OMEGA, as in ``closure``.  Only
+    indices up to |g| are read, so a finite budget is answered however many
+    drops f' has.  By ``valid_r_min``'s proof, r is valid exactly when
+    f'(i) = f'(|g|) for the number i of g's pairs with source below r.
     """
     check_nat(r)
-    fp = closure(f)
-    if r < valid_r_min(fp, g):
-        raise PreconditionError(f"radius {r} is not valid for the closure")
-    size_value = fp(len(g.pairs))
-    i = bisect_left(g.pairs, (r,))
+    size, i = len(g.pairs), bisect_left(g.pairs, (r,))
+    least_i, j, least = _least_costs(f, i, size)
+    size_value = max(0, least - size)
     if size_value == OMEGA:
-        # the mistake budget is unlimited, so only the agreement clause binds
+        # every radius is valid, and the mistake budget is unlimited, so only
+        # the agreement clause binds
         return FixBelow(g, r)
+    if max(0, least_i - i) != size_value:
+        raise PreconditionError(f"radius {r} is not valid for the closure")
     if r > SIZE_LIMIT:
         raise BoundTooLarge(f"the witness avoids {r} points, above {SIZE_LIMIT}")
-    # j: the first index in range(i + 1) of the least f(j) + j
-    costs = [f(k) + k for k in range(i + 1)]
-    j = costs.index(min(costs))
-    b = size_value + i - (costs[j] - j)
+    b = size_value + i - (least_i - j)
     outside = frozenset(range(r)) - g.image
     hits = sorted([y for _, y in g.pairs[:i]])
     picked = frozenset(hits[: i - b])
@@ -379,10 +403,16 @@ def tfprime_refinement(
     fp = closure(f)
     if fp(len(g.pairs)) > 0:
         return UBasic(fp, n, basic.avoid)
-    hit_sources = [x for x, y in g.pairs if y in basic.avoid]
-    miss_sources = [x for x, y in g.pairs if y not in basic.avoid][:n]
-    r = max([valid_r_min(fp, g) - 1, *basic.avoid, *hit_sources, *miss_sources]) + 1
-    return WNbhd(fp, g, r)
+    # the radius clears avoid and the sources of the pairs hitting it or
+    # among the first n missing it; the sources ascend, so the last counts
+    avoid, shown, reach = basic.avoid, 0, 0
+    for x, y in g.pairs:
+        if y not in avoid:
+            if shown == n:
+                continue
+            shown += 1
+        reach = x + 1
+    return WNbhd(fp, g, max(valid_r_min(fp, g), max(avoid, default=-1) + 1, reach))
 
 
 def continuity_p(f: WaningFn, a: PBij, b: PBij, r: int) -> int:
@@ -477,9 +507,8 @@ def cover_witness(
         raise BadBase("base is not a partial bijection from n avoiding the set")
     if not includes_dommiss and not covered:
         return h0
-    banned = avoid | h0.image | covered
     v = 0
-    while v in banned:
+    while v in avoid or h0.has_target(v) or v in covered:
         v += 1
     # n lies past every source of h0 and v outside its image
     return PBij._from_sorted(h0.pairs + ((n, v),))

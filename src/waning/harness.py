@@ -45,7 +45,13 @@ from operator import attrgetter, itemgetter, ne
 from typing import Iterable, Optional
 
 from . import descriptors as de
-from .errors import BoundTooLarge, DomainError, NoWitness, UnknownSuite
+from .errors import (
+    BoundTooLarge,
+    DomainError,
+    NoWitness,
+    PreconditionError,
+    UnknownSuite,
+)
 from .functions import (
     CONST_OMEGA,
     CONST_ZERO,
@@ -514,9 +520,15 @@ def _much_wan_cases(bound: int, seed: int, sample: int) -> list:
 def _much_wan_eval(bound: int, case) -> list[tuple[str, PBij]]:
     kind, f, g, r, n, avoid = case
     if kind == "equal":
-        built = de.much_wan_witness(f, g, r)
-        target = de.WNbhd(closure(f), g, r)
-        found = [("#equal", h) for h in _mismatches(built, target, bound)]
+        # the cases pick r valid for (closure(f), g), so a refusal means the
+        # witness and closure disagree on the valid radii; g is reported
+        try:
+            built = de.much_wan_witness(f, g, r)
+        except PreconditionError:
+            found = [("#radius", g)]
+        else:
+            target = de.WNbhd(closure(f), g, r)
+            found = [("#equal", h) for h in _mismatches(built, target, bound)]
         return _labelled(found, lambda: {"f": fn_to_obj(f), "g": pb_to_obj(g), "r": r})
     basic = de.UBasic(f, n, avoid)
     refined = de.tfprime_refinement(f, n, avoid, g)
@@ -558,8 +570,9 @@ def _order_eval(bound: int, case) -> list[tuple[str, PBij]]:
     try:
         r = _safe_radius(f, g)
         n, b, h = de.order_counterexample(f, g, r)
-        separated = de.member(de.WNbhd(g, PBij.identity(n), r), h) and not de.member(
-            de.WNbhd(f, PBij.identity(n), b), h
+        ident = PBij.identity(n)
+        separated = de.member(de.WNbhd(g, ident, r), h) and not de.member(
+            de.WNbhd(f, ident, b), h
         )
         witness = h
     except NoWitness:
@@ -619,12 +632,17 @@ def _cross_family_failures(f: WaningFn, bound: int) -> list[tuple[str, PBij]]:
     outside Dual(W(f, EMPTY, r)) or inside DomMiss(x), or its inverse is
     outside W(f, EMPTY, r) or inside ImMiss(x)."""
     found = []
-    for x, r in itertools.product(range(bound), range(2 * bound)):
-        h, w = de.cross_family_witness(x, r), de.WNbhd(f, EMPTY, r)
-        inside = de.member(de.Dual(w), h) and de.member(w, h.inverse())
-        avoided = de.member(de.DomMiss(x), h) or de.member(de.ImMiss(x), h.inverse())
-        if avoided or not inside:
-            found.append((dumps({"f": fn_to_obj(f), "x": x, "r": r}) + "#witness", h))
+    nbhds = [de.WNbhd(f, EMPTY, r) for r in range(2 * bound)]
+    duals = [de.Dual(w) for w in nbhds]
+    for x in range(bound):
+        for r, (w, dual) in enumerate(zip(nbhds, duals)):
+            h = de.cross_family_witness(x, r)
+            inverse = h.inverse()
+            inside = de.member(dual, h) and de.member(w, inverse)
+            avoided = de.member(de.DomMiss(x), h) or de.member(de.ImMiss(x), inverse)
+            if avoided or not inside:
+                label = dumps({"f": fn_to_obj(f), "x": x, "r": r})
+                found.append((label + "#witness", h))
     return found
 
 
@@ -694,13 +712,17 @@ def _longest_chain(fns: list[WaningFn]) -> int:
     def total(w: WaningFn) -> int:
         return sum(w.drops)
 
-    fns = sorted(dict.fromkeys(fns), key=total, reverse=True)
-    best = [1] * len(fns)
-    for j in range(len(fns)):
-        for i in range(j):
-            if preceq(fns[i], fns[j]):
-                best[j] = max(best[j], best[i] + 1)
-    return max(best, default=0)
+    # levels[d] holds the functions whose longest chain ending there has
+    # d + 1 elements: one above the highest level holding a predecessor
+    levels: list[list[WaningFn]] = []
+    for w in sorted(dict.fromkeys(fns), key=total, reverse=True):
+        d = len(levels)
+        while d and not any(preceq(v, w) for v in levels[d - 1]):
+            d -= 1
+        if d == len(levels):
+            levels.append([])
+        levels[d].append(w)
+    return len(levels)
 
 
 def _chains_eval(bound: int, case) -> list[tuple[str, PBij]]:
@@ -728,12 +750,23 @@ def all_posets() -> list[FinitePoset]:
     for n in range(1, len(_LABELS) + 1):
         labels = _LABELS[:n]
         reflexive = [(a, a) for a in labels]
-        off_diag = [(a, b) for a in labels for b in labels if a != b]
-        for picks in itertools.product((False, True), repeat=len(off_diag)):
-            strict = [p for p, take in zip(off_diag, picks) if take]
+        # the relations over the off-diagonal pairs in the order of
+        # itertools.product((False, True), ...): each without the pair, then
+        # with it.  FinitePoset refuses a pair in both directions, so a
+        # relation is dropped at its first such pair
+        relations: list[list] = [[]]
+        for a, b in ((a, b) for a in labels for b in labels if a != b):
+            relations = [
+                grown
+                for strict in relations
+                for grown in (
+                    (strict,) if (b, a) in strict else (strict, strict + [(a, b)])
+                )
+            ]
+        for strict in relations:
             below = set(strict)
-            # FinitePoset refuses a pair in both directions, or a < b < c without a < c
-            if any((b, a) in below for a, b in strict) or any(
+            # and it refuses a < b < c without a < c
+            if any(
                 (a, c) not in below for a, b in strict for b2, c in strict if b2 == b
             ):
                 continue

@@ -5,14 +5,18 @@ import dataclasses
 import os
 import random
 import signal
+from bisect import bisect_left
 
 import hypothesis.strategies as st
 import pytest
 
 from waning import (
     OMEGA,
+    SIZE_LIMIT,
+    BoundTooLarge,
     GenFn,
     PBij,
+    PreconditionError,
     WaningFn,
     closure,
     collapse,
@@ -25,6 +29,7 @@ from waning import (
 )
 from waning import descriptors as de
 from waning import harness
+from waning.functions import check_nat
 from waning.descriptors import (
     DomMiss,
     Dual,
@@ -107,6 +112,30 @@ def closure_closed_form(f: GenFn, i: int):
     return best if is_omega(best) else max(0, best)
 
 
+def much_wan_witness_via_closure(f, g: PBij, r: int):
+    """Oracle for ``much_wan_witness``: the same witness read off ``closure(f)``
+    as built, with the radius tested by ``valid_r_min`` and j found by a
+    second scan.  Raises BoundTooLarge also when the closure has more than
+    SIZE_LIMIT drops."""
+    check_nat(r)
+    fp = closure(f)
+    if r < valid_r_min(fp, g):
+        raise PreconditionError(f"radius {r} is not valid for the closure")
+    size_value = fp(len(g.pairs))
+    i = bisect_left(g.pairs, (r,))
+    if size_value == OMEGA:
+        return FixBelow(g, r)
+    if r > SIZE_LIMIT:
+        raise BoundTooLarge(f"the witness avoids {r} points, above {SIZE_LIMIT}")
+    costs = [f(k) + k for k in range(i + 1)]
+    j = costs.index(min(costs))
+    b = size_value + i - (costs[j] - j)
+    outside = frozenset(range(r)) - g.image
+    hits = sorted([y for _, y in g.pairs[:i]])
+    picked = frozenset(hits[: i - b])
+    return Intersection((FixBelow(g, r), UBasic(f, j, outside | picked)))
+
+
 def as_genfn(w: WaningFn) -> GenFn:
     """The waning function ``w`` with its leading values listed: the same
     function as a GenFn, for checking code that takes either type."""
@@ -161,8 +190,10 @@ def basis_refinement_one_less(monkeypatch):
 
 
 def closure_drops_its_last_drop(monkeypatch):
-    """A deliberate fault for ``closure``, where the harness and the
-    witnesses read it: the last drop of the waning closure is dropped."""
+    """A deliberate fault for ``closure``, where the harness and
+    ``tfprime_refinement`` read it: the last drop of the waning closure is
+    dropped.  ``much_wan_witness`` reads the closure off f itself, so it
+    refuses some radii that the suite picks from the faulted closure."""
 
     def fault(f):
         w = closure(f)

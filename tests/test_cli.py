@@ -9,8 +9,10 @@ import waning
 import waning.cli as cli
 import waning.harness as harness
 from strategies import count_forks, deadline
+from waning import GenFn, PBij, much_wan_witness
 from waning.cli import main
 from waning.harness import MAX_BOUND, run_suite
+from waning.serialize import descriptor_from_obj
 
 
 def run(capsys, *argv):
@@ -214,6 +216,18 @@ def test_oversized_closures_and_witnesses_refused(capsys):
         with deadline(2):
             code, _, err = run(capsys, *argv)
         assert code == 1 and err.startswith("error:")
+
+
+def test_much_wan_witness_answers_a_closure_past_the_size_limit(capsys):
+    # the closure of f has 10^6 drops, which closure refuses; the witness
+    # reads f only up to |g|
+    argv = ["witness", "--kind", "much-wan", "--f", '{"tail":1000000}']
+    with deadline(2):
+        code, out, _ = run(capsys, *argv, "--pb", "[[0,1]]", "--r", "2")
+    assert code == 0
+    assert descriptor_from_obj(json.loads(out)) == much_wan_witness(
+        GenFn(tail=10**6), PBij([(0, 1)]), 2
+    )
 
 
 def test_long_omega_prefix_read_in_canonical_form(capsys):

@@ -10,6 +10,7 @@ from strategies import (
     deadline,
     descriptors,
     genfns,
+    much_wan_witness_via_closure,
     pbijs,
     waning_fns,
 )
@@ -484,6 +485,48 @@ def test_much_wan_omega_branch():
 def test_much_wan_precondition():
     with pytest.raises(PreconditionError):
         much_wan_witness(GenFn(prefix=(2, 1)), pb((5, 5)), 0)
+
+
+# eventually-constant functions with a finite nonzero tail, some of them
+# with a closure of more than SIZE_LIMIT drops
+long_tails = st.builds(
+    GenFn,
+    st.lists(st.integers(0, 5) | st.just(OMEGA), max_size=4).map(tuple),
+    st.sampled_from([2, SIZE_LIMIT, 10**6]),
+)
+
+
+@given(
+    genfns() | waning_fns() | long_tails,
+    pbijs(max_point=6, max_size=4),
+    st.integers(0, 9) | st.just(SIZE_LIMIT + 1),
+)
+def test_much_wan_witness_matches_the_closure_oracle(f, g, r):
+    def outcome(witness):
+        try:
+            return witness(f, g, r)
+        except (PreconditionError, BoundTooLarge) as exc:
+            return type(exc)
+
+    try:
+        closure(f)
+    except BoundTooLarge:
+        # the oracle refuses every radius; the witness reads f only up to |g|
+        assert outcome(much_wan_witness_via_closure) is BoundTooLarge
+        return
+    assert outcome(much_wan_witness) == outcome(much_wan_witness_via_closure)
+
+
+def test_much_wan_witness_answers_a_closure_past_the_size_limit():
+    f, g = GenFn(tail=10**6), pb((0, 1))
+    with pytest.raises(BoundTooLarge):
+        closure(f)
+    with deadline(2):
+        got = much_wan_witness(f, g, 2)
+    # the closure is 10^6 - k up to 10^6, so |g| = 1 leaves a budget of
+    # 999,999 mistakes: at bound 4 only the agreement below 2 binds
+    assert got == Intersection((FixBelow(g, 2), UBasic(f, 0, frozenset({0, 1}))))
+    assert brute_equal(got, FixBelow(g, 2), 4)
 
 
 def test_tfprime_positive_branch():

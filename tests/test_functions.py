@@ -104,6 +104,16 @@ def test_closure_laws(f):
         assert c(i) == closure_closed_form(f, i)
 
 
+@given(genfns() | waning_fns())
+def test_closure_is_the_least_cost_so_far_less_the_index(f):
+    # closure(f)(k) = max(0, m(k) - k), where m(k) is the least f(j) + j over
+    # j <= k: much_wan_witness reads the closure this way
+    c, least = closure(f), OMEGA
+    for k in range(16):
+        least = min(least, f(k) + k)
+        assert c(k) == max(0, least - k)
+
+
 def test_preceq_examples():
     assert preceq(WaningFn(drops=(3, 1)), WaningFn(drops=(2,)))
     f, g = WaningFn(drops=(5, 1)), WaningFn(drops=(3, 2, 1))

@@ -362,15 +362,17 @@ def _lowered_continuity_p(monkeypatch):
 # failing reports under named faults, as (suite, bound, seed, fault, number
 # of counterexamples, sha256 of the report's JSON without "ms"); the digests
 # were recorded from labels built for every case, before only a case with a
-# counterexample built one
+# counterexample built one.  much-wan's row holds 17 #radius and 2 #equal
+# counterexamples: the witness reads the closure off f itself, so it refuses
+# 17 radii that the faulted closure makes the suite pick
 FAILING_REPORTS = [
     (
         "basis", 3, 1, basis_refinement_one_less, 17,
         "ad231c38c53737258dd750dfc26f01ecf771e71e1c7a8befcc7b7a1a162d03f1",
     ),
     (
-        "much-wan", 3, 1, closure_drops_its_last_drop, 21,
-        "8d2adec96525593561f519b5495fa43cba41846c9a076dff306101da8433ddec",
+        "much-wan", 3, 1, closure_drops_its_last_drop, 19,
+        "9b2a228c02b69c71c0addc13baf9d2c7f50ae0491d04871aab81f181bf168dbb",
     ),
     (
         "continuity", 4, 2, _lowered_continuity_p, 1039,

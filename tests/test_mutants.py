@@ -20,6 +20,7 @@ from strategies import (
     swap_conjugate,
 )
 from waning import (
+    OMEGA,
     Dual,
     FixBelow,
     ImMiss,
@@ -110,6 +111,16 @@ def _much_wan_picks_one_target_fewer(monkeypatch):
     _much_wan_basic(monkeypatch, rewrite)
 
 
+def _least_costs_skip_0(monkeypatch):
+    # much_wan_witness's running minimum of f(k) + k starts at k = 1
+    real = de._least_costs
+
+    def fault(f, i, size):
+        return real(lambda k: f(k) if k else OMEGA, i, size)
+
+    monkeypatch.setattr(de, "_least_costs", fault)
+
+
 def _valid_r_min_one_too_high(monkeypatch):
     real = de.valid_r_min
     monkeypatch.setattr(de, "valid_r_min", lambda f, g: real(f, g) + 1)
@@ -157,6 +168,7 @@ MUTANTS = [
     (_much_wan_threshold_one_less, _suite_passes("much-wan", 3)),
     (_much_wan_picks_one_target_fewer, _suite_passes("much-wan", 3)),
     (_intersection_tests_only_its_first_part, _suite_passes("much-wan", 3)),
+    (_least_costs_skip_0, _suite_passes("much-wan", 3)),
     (_dual_reach_zero, _class_scan_matches_a_naive_scan),
     (_scope_classes_ignore_reach, _class_scan_matches_a_naive_scan),
     (_valid_r_min_one_too_high, _least_valid_radii_admitted),
