@@ -15,7 +15,6 @@ from waning import (
     WaningFn,
     WNbhd,
     basis_refinement,
-    closure,
     continuity_p,
     cover_witness,
     member,

@@ -3,9 +3,9 @@
 The universe with bound B holds every partial bijection whose domain and
 image sit inside range(B); refuting a containment on the slice refutes it
 outright, since intersecting with the slice preserves inclusions.  All checks
-report counterexamples in a canonical order, so reports are deterministic
-for a fixed (bound, seed, sample) regardless of worker count; only the
-elapsed-time field varies between runs.
+report counterexamples in one canonical order, sorted once by ``_report``,
+so reports are deterministic for a fixed (bound, seed, sample) regardless
+of worker count; only the elapsed-time field varies between runs.
 
 Subset and equality checks do not scan the universe.  Each starts from a
 scope (P, r), the elements whose pairs with source below r are exactly P:
@@ -19,12 +19,13 @@ its left factors the same way, as the classes of W(f, a, p)'s scope by
 (pairs below max(p, r), image) whose representative is a member; it counts
 a class by its size and lists it only when one of its products fails.  Its
 right factors are the members of W(f, b, p) in its scope slice of the
-sorted universe, through ``_scope_members``, the one reader of that order:
-every element of the slice agrees with b below p, so membership is tested
-once per image.  The check uses every right factor it keeps, and universe
-elements keep the lookups that a generated element would build again.  It
-groups right factors by their values on the left classes' low targets and
-the sources they send below r outside im(a * b); it tests one product per
+sorted universe, through ``_scope_members``; apart from it, only the seeded
+draws of basis and much-wan read that order.  Every element of the slice
+agrees with b below p, so membership is tested once per image.  The check
+uses every right factor it keeps, and universe elements keep the lookups
+that a generated element would build again.  In the same pass it groups
+right factors by their values on the left classes' low targets and the
+sources they send below r outside im(a * b); it tests one product per
 class pair, and when that product fails reports every product of the pair,
 once per factor pair.  The d-map check builds the up-set of id_n as the
 image of I_{B-n} under the shift, an isomorphism, and checks that the
@@ -42,7 +43,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter, itemgetter, ne
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import descriptors as de
 from .errors import (
@@ -92,7 +93,8 @@ def _check_bound(bound: int) -> None:
 @lru_cache(maxsize=None, typed=True)
 def enumerate_universe(bound: int) -> tuple[PBij, ...]:
     """All partial bijections inside range(bound), in lexicographic order of
-    their sorted pairs.
+    their sorted pairs, which ``_scope_members`` and the seeded draws of
+    basis and much-wan read.
 
     A pre-order walk from the empty map: each element is extended by one
     pair (x, y), x above every source so far and y an unused target, trying
@@ -210,17 +212,13 @@ class CheckReport:
         )
 
 
-def _sorted_counterexamples(
-    found: Iterable[tuple[str, PBij]]
-) -> tuple[tuple[str, PBij], ...]:
-    return tuple(sorted(found, key=lambda c: (dumps(pb_to_obj(c[1])), c[0])))
-
-
 def _report(name: str, cases: int, found, started: float) -> CheckReport:
+    """Sorts ``found`` once, by the witness's JSON and then the label: the key
+    holds all a report prints, so the order found in cannot show."""
     return CheckReport(
         name=name,
         cases=cases,
-        counterexamples=_sorted_counterexamples(found),
+        counterexamples=tuple(sorted(found, key=lambda c: (dumps(pb_to_obj(c[1])), c[0]))),
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
     )
 
@@ -237,7 +235,8 @@ def _labelled(found: list[tuple[str, PBij]], label) -> list[tuple[str, PBij]]:
 
 def _failing(d1, d2, scopes, reach: int, bound: int, fails) -> list[PBij]:
     """The elements h of the ``scopes`` (``de._reach`` triples) with
-    ``fails(h in d1, h in d2)``, in universe order.  The scopes are disjoint,
+    ``fails(h in d1, h in d2)``, each once, in the order their classes are
+    generated; ``_report`` alone orders them.  The scopes are disjoint,
     and ``reach`` covers both sets' reaches.  Each scope is split into
     classes by (pairs below ``reach``, image); membership in either set is
     constant on a class, as it reads only those, so a class's representative
@@ -249,7 +248,7 @@ def _failing(d1, d2, scopes, reach: int, bound: int, fails) -> list[PBij]:
             rep = _representative(*cls)
             if fails(de.member(d1, rep), de.member(d2, rep)):
                 found += map(PBij._from_sorted, _class_elements(*cls))
-    return sorted(found, key=_PAIRS)
+    return found
 
 
 def _escapes(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[PBij]:
@@ -300,24 +299,16 @@ def equality_check(
     return _report("equality", 2 * universe_size(bound), found, started)
 
 
-def _classes(items: Iterable[PBij], key) -> list[list[PBij]]:
-    """``items`` grouped by ``key``, each group in the order met."""
-    groups: dict = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
-    return list(groups.values())
-
-
-def _scope_members(d: de.SetDescriptor, bound: int) -> list[PBij]:
-    """The members of ``d`` in the universe, in universe order, for a
-    descriptor whose reach is at most its scope radius (W and FixBelow).
-    No other function slices the sorted universe.
+def _scope_members(d: de.SetDescriptor, bound: int, key) -> list[list[PBij]]:
+    """The members of ``d`` in the universe grouped by ``key``, each group in
+    universe order and the groups in the order first met, for a descriptor
+    whose reach is at most its scope radius (W and FixBelow).
 
     In the sorted universe d's scope (P, r) is the element whose pairs are
     exactly P, then the run of elements that start with P and continue with
     a source of at least r.  Every element there has P as its pairs below
     the reach, so membership reads only the image, and is tested once per
-    image.
+    image.  The seeded draws of basis and much-wan read the order too.
     """
     us = enumerate_universe(bound)
     below, r, _ = de._reach(d)
@@ -326,14 +317,14 @@ def _scope_members(d: de.SetDescriptor, bound: int) -> list[PBij]:
     start = bisect_left(us, below + ((r,),), key=_PAIRS)
     stop = bisect_left(us, below + ((bound,),), key=_PAIRS)
     verdicts: dict = {}
-    members = []
+    groups: dict = {}
     for h in itertools.chain(exact, us[start:stop]):
         image = h.image
         if image not in verdicts:
             verdicts[image] = de.member(d, h)
         if verdicts[image]:
-            members.append(h)
-    return members
+            groups.setdefault(key(h), []).append(h)
+    return list(groups.values())
 
 
 def product_containment_check(
@@ -364,11 +355,21 @@ def product_containment_check(
     counted by its size, math.perm(|tail|, |targets|), and listed only when
     one of its products fails.  The right factors are the members of
     W(f, b, p) in its scope slice of the sorted universe, through
-    ``_scope_members``, tested once per image.  A class pair whose tested
-    product fails has every product reported, once per factor pair that
-    forms it; ``cases`` still counts every factor pair.
+    ``_scope_members``, tested once per image and grouped by the second key
+    in the same pass.  A class pair whose tested product fails has every
+    product reported, once per factor pair that forms it; ``cases`` still
+    counts every factor pair.  A bound past MAX_BOUND is refused first.
+    ``_report`` alone sorts the products; ``continuity`` takes them
+    unsorted, into its one report.
     """
     started = time.perf_counter()
+    found, cases = _product_failures(f, a, b, bound)
+    return _report("product-containment", cases, found, started)
+
+
+def _product_failures(f: WaningFn, a: PBij, b: PBij, bound: int) -> tuple[list, int]:
+    """``product_containment_check``'s counterexamples, unsorted, and cases."""
+    _check_bound(bound)
     c = a * b
     r = de.valid_r_min(f, c)
     p = de.continuity_p(f, a, b, r)
@@ -380,16 +381,13 @@ def product_containment_check(
         rep = _representative(*cls)
         if de.member(wa, rep):
             left.append((rep, cls))
-    right = _scope_members(wb, bound)
     shown = sorted({y for d, _ in left for x, y in d.pairs if x < r})
     low_out = frozenset(range(r)) - c.image
-    right_classes = _classes(
-        right,
-        lambda e: (
-            tuple(e.get(y) for y in shown),
-            tuple(x for x, y in e.pairs if y in low_out),
-        ),
-    )
+
+    def right_key(e):
+        return tuple(e.get(y) for y in shown), tuple(x for x, y in e.pairs if y in low_out)
+
+    right_classes = _scope_members(wb, bound, right_key)
     found = []
     for rep, cls in left:
         for es in right_classes:
@@ -402,8 +400,9 @@ def product_containment_check(
             "f": fn_to_obj(f), "a": pb_to_obj(a), "b": pb_to_obj(b), "p": p, "r": r
         },
     )
-    cases = sum(math.perm(len(tail), len(k)) for _, (_, k, tail) in left) * len(right)
-    return _report("product-containment", cases, found, started)
+    rights = sum(map(len, right_classes))
+    cases = sum(math.perm(len(tail), len(k)) for _, (_, k, tail) in left) * rights
+    return found, cases
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +549,7 @@ def _continuity_cases(bound: int, seed: int, sample: int) -> list:
 
 
 def _continuity_eval(bound: int, case) -> list[tuple[str, PBij]]:
-    f, a, b = case
-    return list(product_containment_check(f, a, b, bound).counterexamples)
+    return _product_failures(*case, bound)[0]
 
 
 def _order_cases(bound: int, seed: int, sample: int) -> list:

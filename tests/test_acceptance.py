@@ -14,7 +14,6 @@ import pytest
 from strategies import as_genfn, closure_closed_form, pointwise_leq
 from test_mutants import MUTANTS
 from waning import (
-    CONST_ZERO,
     OMEGA,
     GenFn,
     closure,

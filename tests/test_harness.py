@@ -133,12 +133,25 @@ def test_universe_closed_under_operations():
             assert a * b in us
 
 
+def _pairs(hs):
+    return sorted(h.pairs for h in hs)
+
+
 def _assert_scope_members_exact(d, bound):
-    """``_scope_members`` against a scan of I_B: the members of d, in
-    universe order."""
-    assert harness._scope_members(d, bound) == [
+    """``_scope_members`` against a scan of I_B: the members of d, each once,
+    in groups that share one key and are each in universe order."""
+
+    def key(h):
+        return h.get(0), len(h)
+
+    groups = harness._scope_members(d, bound, key)
+    assert _pairs(h for hs in groups for h in hs) == _pairs(
         h for h in enumerate_universe(bound) if member(d, h)
-    ]
+    )
+    assert len({key(hs[0]) for hs in groups}) == len(groups)
+    for hs in groups:
+        assert {key(h) for h in hs} == {key(hs[0])}
+        assert [h.pairs for h in hs] == _pairs(hs)
 
 
 @given(descriptors(), st.integers(0, 4))
@@ -175,17 +188,19 @@ def test_scope_members_match_prefix_sets(f, g, radius, bound):
 @given(descriptors(), descriptors(), st.integers(0, 4))
 @settings(max_examples=200, deadline=None)
 def test_class_scans_match_a_naive_scan(d1, d2, bound):
+    # the scans return their elements unsorted: compared as multisets
     us = enumerate_universe(bound)
-    assert harness._escapes(d1, d2, bound) == [
+    assert _pairs(harness._escapes(d1, d2, bound)) == _pairs(
         h for h in us if member(d1, h) and not member(d2, h)
-    ]
-    assert harness._mismatches(d1, d2, bound) == [
+    )
+    assert _pairs(harness._mismatches(d1, d2, bound)) == _pairs(
         h for h in us if member(d1, h) != member(d2, h)
-    ]
+    )
     both_ways = subset_check(d1, d2, bound).counterexamples
     both_ways += subset_check(d2, d1, bound).counterexamples
-    assert equality_check(d1, d2, bound).counterexamples == (
-        harness._sorted_counterexamples(both_ways)
+    # sorted by the key of _report: the witness's JSON, then the label
+    assert equality_check(d1, d2, bound).counterexamples == tuple(
+        sorted(both_ways, key=lambda c: (dumps(pb_to_obj(c[1])), c[0]))
     )
 
 
@@ -237,9 +252,9 @@ def test_mismatches_cover_nested_and_disjoint_scopes(data, bound):
     # the same g gives nested scopes; another one mostly disjoint ones
     g2 = data.draw(st.sampled_from([g1, data.draw(small, label="other")]), label="g2")
     d1, d2 = (FixBelow(g, data.draw(st.integers(0, 4), label="r")) for g in (g1, g2))
-    assert harness._mismatches(d1, d2, bound) == [
+    assert _pairs(harness._mismatches(d1, d2, bound)) == _pairs(
         h for h in enumerate_universe(bound) if member(d1, h) != member(d2, h)
-    ]
+    )
 
 
 @pytest.mark.parametrize("check", [subset_check, equality_check])
@@ -272,6 +287,9 @@ def test_product_containment_refuses_bounds_outside_the_universe():
         product_containment_check(CONST_ZERO, a, b, -1)
     with pytest.raises(BoundTooLarge):
         product_containment_check(CONST_ZERO, a, b, harness.MAX_BOUND + 1)
+    # refused before any left class is generated: that work grows as 2^bound
+    with deadline(5), pytest.raises(BoundTooLarge):
+        product_containment_check(CONST_ZERO, EMPTY, EMPTY, 40)
 
 
 @given(descriptors())
@@ -279,11 +297,10 @@ def test_product_containment_refuses_bounds_outside_the_universe():
 def test_membership_is_constant_on_reach_classes(d):
     reach = de._reach(d)[2]
 
-    def key(h):
-        return _below(h.pairs, reach), h.image
-
-    for hs in harness._classes(enumerate_universe(4), key):
-        assert len({member(d, h) for h in hs}) == 1
+    verdicts = {}
+    for h in enumerate_universe(4):
+        verdicts.setdefault((_below(h.pairs, reach), h.image), set()).add(member(d, h))
+    assert all(len(v) == 1 for v in verdicts.values())
 
 
 def test_subset_check_examples():
@@ -349,6 +366,15 @@ def test_product_containment_matches_brute_force_on_failing_seeds(monkeypatch, s
         assert not run_suite("continuity", bound=4, seed=seed, jobs=1).ok
     for f, a, b in harness._continuity_cases(4, seed, 100):
         assert matches_all_products(f, a, b, 4)
+
+
+def test_continuity_builds_one_report(monkeypatch):
+    # its cases hand back their products unsorted, and the suite sorts once
+    calls = []
+    real = harness._report
+    monkeypatch.setattr(harness, "_report", lambda *args: calls.append(args) or real(*args))
+    run_suite("continuity", bound=4, sample=5, jobs=1)
+    assert len(calls) == 1
 
 
 def test_product_containment_matches_brute_force_below_continuity_p():
