@@ -13,23 +13,23 @@ members of a W or FixBelow set agree with g below r, an intersection takes a
 part's scope, and other kinds give the whole universe.  Membership in a
 descriptor reads only an element's image and its pairs with source below the
 descriptor's reach, so a check generates the classes of its scope under
-(pairs below R, image), R covering both reaches, tests one representative
-per class, and lists a failing class whole.  The continuity check generates
-its left factors the same way, as the classes of W(f, a, p)'s scope by
-(pairs below max(p, r), image) whose representative is a member; it counts
-a class by its size and lists it only when one of its products fails.  Its
-right factors are the members of W(f, b, p) in its scope slice of the
-sorted universe, through ``_scope_members``; apart from it, only the seeded
-draws of basis and much-wan read that order.  Every element of the slice
-agrees with b below p, so membership is tested once per image.  The check
-uses every right factor it keeps, and universe elements keep the lookups
-that a generated element would build again.  In the same pass it groups
-right factors by their values on the left classes' low targets and the
-sources they send below r outside im(a * b); it tests one product per
-class pair, and when that product fails reports every product of the pair,
-once per factor pair.  The d-map check builds the up-set of id_n as the
-image of I_{B-n} under the shift, an isomorphism, and checks that the
-collapse inverts it.
+(pairs below R, image), R covering both reaches, each with its first
+element, tests that element alone, and lists a failing class whole.  The
+continuity check generates its left factors the same way, as the classes of
+W(f, a, p)'s scope by (pairs below max(p, r), image) whose first element is
+a member; it counts a class by its size and lists it only when one of its
+products fails.  Its right factors are the members of W(f, b, p) in its
+scope slice of the sorted universe, through ``_scope_members``; apart from
+it, only the seeded draws of basis and much-wan read that order.  Every
+element of the slice agrees with b below p, so membership is tested once
+per image.  The check uses every right factor it keeps, and universe
+elements keep the lookups that a generated element would build again.  In
+the same pass it groups right factors by their values on the left classes'
+low targets and the sources they send below r outside im(a * b); it tests
+one product per class pair, and when that product fails reports every
+product of the pair, once per factor pair.  The d-map check builds the
+up-set of id_n as the image of I_{B-n} under the shift, an isomorphism, and
+checks that the collapse inverts it.
 """
 
 from __future__ import annotations
@@ -132,10 +132,10 @@ def _scope_classes(
     """The scope (below, r) of the universe, split into classes by (pairs
     with source below R, image), R = max(r, reach) clamped to ``bound``.
 
-    Each class is a triple (head, targets, tail): ``_class_elements`` lists
-    its elements' sorted pairs, ``_representative`` builds the first of
-    them, and it has math.perm(len(tail), len(targets)) elements.  The scope
-    is empty when ``below`` has a point at or past the bound.  Otherwise a
+    Each class comes as (rep, (head, targets, tail)): rep is its first
+    element, ``_class_elements(head, targets, tail)`` lists its elements,
+    and it has math.perm(len(tail), len(targets)) elements.  The scope is
+    empty when ``below`` has a point at or past the bound.  Otherwise a
     class is fixed by
     - Q, a partial injection from sources in [r, R) to targets outside
       im(below), so that head = below + Q are the pairs below R, and
@@ -145,7 +145,11 @@ def _scope_classes(
     Its elements send a |S|-subset of the tail onto S in every way, which is
     C(|tail|, |S|) * |S|! = perm(|tail|, |S|) ways.  Every element of the
     scope falls in exactly one class, the one of its own pairs below R and
-    image.
+    image.  The first element listed takes the first len(targets) points of
+    ``tail`` and keeps ``targets`` in order, so rep is head +
+    tuple(zip(tail, targets)): zip stops at ``targets``, which is never
+    longer than ``tail``, and the pairs are sorted, as head's sources lie
+    below tail's first point.
     """
     if any(x >= bound or y >= bound for x, y in below):
         return
@@ -160,26 +164,14 @@ def _scope_classes(
                 rest = [y for y in free if y not in ys]
                 for size in range(min(len(tail), len(rest)) + 1):
                     for targets in itertools.combinations(rest, size):
-                        yield head, targets, tail
+                        rep = PBij._from_sorted(head + tuple(zip(tail, targets)))
+                        yield rep, (head, targets, tail)
 
 
 def _class_elements(head, targets, tail):
     for xs in itertools.combinations(tail, len(targets)):
         for ys in itertools.permutations(targets):
-            yield head + tuple(zip(xs, ys))
-
-
-def _representative(head, targets, tail) -> PBij:
-    """The first element that ``_class_elements(head, targets, tail)``
-    lists, built without listing the class.
-
-    Its first combination of ``tail`` is the first len(targets) points of
-    ``tail``, and its first permutation of ``targets`` keeps their order, so
-    the first element is head + tuple(zip(tail, targets)): zip stops at
-    ``targets``, which is never longer than ``tail``.  The pairs are sorted,
-    as head's sources lie below tail's first point.
-    """
-    return PBij._from_sorted(head + tuple(zip(tail, targets)))
+            yield PBij._from_sorted(head + tuple(zip(xs, ys)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,11 +206,13 @@ class CheckReport:
 
 def _report(name: str, cases: int, found, started: float) -> CheckReport:
     """Sorts ``found`` once, by the witness's JSON and then the label: the key
-    holds all a report prints, so the order found in cannot show."""
+    holds all a report prints, so the order found in cannot show.  A failing
+    run repeats few witnesses, so each distinct one is serialised once."""
+    text = {w: dumps(pb_to_obj(w)) for w in {w for _, w in found}}
     return CheckReport(
         name=name,
         cases=cases,
-        counterexamples=tuple(sorted(found, key=lambda c: (dumps(pb_to_obj(c[1])), c[0]))),
+        counterexamples=tuple(sorted(found, key=lambda c: (text[c[1]], c[0]))),
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
     )
 
@@ -239,15 +233,15 @@ def _failing(d1, d2, scopes, reach: int, bound: int, fails) -> list[PBij]:
     generated; ``_report`` alone orders them.  The scopes are disjoint,
     and ``reach`` covers both sets' reaches.  Each scope is split into
     classes by (pairs below ``reach``, image); membership in either set is
-    constant on a class, as it reads only those, so a class's representative
-    alone is tested, and only a class that fails is listed, whole."""
+    constant on a class, as it reads only those, so the first element that
+    comes with each class alone is tested, and only a class that fails is
+    listed, whole."""
     _check_bound(bound)
     found = []
     for below, r, _ in scopes:
-        for cls in _scope_classes(below, r, reach, bound):
-            rep = _representative(*cls)
+        for rep, cls in _scope_classes(below, r, reach, bound):
             if fails(de.member(d1, rep), de.member(d2, rep)):
-                found += map(PBij._from_sorted, _class_elements(*cls))
+                found += _class_elements(*cls)
     return found
 
 
@@ -350,7 +344,7 @@ def product_containment_check(
     a right factor e only through (e at every low target of the left
     classes, S(e)).  The left classes are generated: the scope classes of
     W(f, a, p) by (pairs below max(p, r), image), which refine the first
-    key, kept when their representative is a member, as membership in
+    key, kept when their first element is a member, as membership in
     W(f, a, p) reads only its pairs below p and its image.  A left class is
     counted by its size, math.perm(|tail|, |targets|), and listed only when
     one of its products fails.  The right factors are the members of
@@ -376,11 +370,11 @@ def _product_failures(f: WaningFn, a: PBij, b: PBij, bound: int) -> tuple[list, 
     wa = de.WNbhd(f, a, p)
     wb = de.WNbhd(f, b, p)
     wc = de.WNbhd(f, c, r)
-    left = []
-    for cls in _scope_classes(de._reach(wa)[0], p, r, bound):
-        rep = _representative(*cls)
-        if de.member(wa, rep):
-            left.append((rep, cls))
+    left = [
+        (rep, cls)
+        for rep, cls in _scope_classes(de._reach(wa)[0], p, r, bound)
+        if de.member(wa, rep)
+    ]
     shown = sorted({y for d, _ in left for x, y in d.pairs if x < r})
     low_out = frozenset(range(r)) - c.image
 
@@ -392,8 +386,7 @@ def _product_failures(f: WaningFn, a: PBij, b: PBij, bound: int) -> tuple[list, 
     for rep, cls in left:
         for es in right_classes:
             if not de.member(wc, rep * es[0]):
-                ds = map(PBij._from_sorted, _class_elements(*cls))
-                found += [("", d * e) for d in ds for e in es]
+                found += [("", d * e) for d in _class_elements(*cls) for e in es]
     found = _labelled(
         found,
         lambda: {

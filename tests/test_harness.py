@@ -216,8 +216,8 @@ def test_scope_classes_partition_the_scope(bound, data):
     # drawn from I_{B+1}, so the prefix may hold a point at or past the bound
     g = data.draw(st.sampled_from(enumerate_universe(bound + 1)), label="g")
     below = _below(g.pairs, r)
-    triples = list(harness._scope_classes(below, r, reach, bound))
-    classes = [list(harness._class_elements(*t)) for t in triples]
+    scoped = list(harness._scope_classes(below, r, reach, bound))
+    classes = [[h.pairs for h in harness._class_elements(*cls)] for _, cls in scoped]
     got = [pairs for c in classes for pairs in c]
     assert len(got) == len(set(got))
     assert set(got) == {
@@ -237,10 +237,10 @@ def test_scope_classes_partition_the_scope(bound, data):
         assert past == tuple(zip(range(reach, reach + len(past)), sorted(y for _, y in past)))
     # one class per key: the classes are whole key classes
     assert len(set(keys)) == len(keys)
-    # the representative is the first element listed, built without listing,
+    # each class comes with the first element listed, built without listing,
     # and the size needs no listing either
-    for (head, targets, tail), c in zip(triples, classes):
-        assert harness._representative(head, targets, tail).pairs == c[0]
+    for (rep, (_, targets, tail)), c in zip(scoped, classes):
+        assert rep.pairs == c[0]
         assert len(c) == math.perm(len(tail), len(targets))
 
 
@@ -881,3 +881,26 @@ def test_counterexamples_sorted_canonically():
     assert not rep.ok
     keys = [json.dumps(pb_to_obj(w), separators=(",", ":")) for _, w in rep.counterexamples]
     assert keys == sorted(keys)
+
+
+def test_report_serialises_each_witness_once(monkeypatch):
+    calls = []
+
+    def counting_dumps(obj):
+        calls.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(harness, "dumps", counting_dumps)
+    ws = [EMPTY, PBij([(2, 0)]), PBij([(10, 0)])]
+    found = [(f"label{i}", w) for i in reversed(range(10)) for w in ws]
+    report = harness._report("r", 0, found, time.perf_counter())
+    assert len(calls) == 3
+    # by JSON, not by pairs: [[10,0]] before [[2,0]], and a non-empty witness
+    # before []; equal witnesses by label
+    assert report.counterexamples == tuple(
+        (f"label{i}", w) for w in reversed(ws) for i in range(10)
+    )
+    # a longer witness before its prefix, against both the pairs and the labels
+    found = [("a", PBij([(0, 1)])), ("b", PBij([(0, 1), (2, 3)]))]
+    report = harness._report("r", 0, found, time.perf_counter())
+    assert report.counterexamples == tuple(reversed(found))
