@@ -154,8 +154,12 @@ def _cmd_member(args) -> int:
 
 def _report_exit(report, out: Optional[str]) -> int:
     print(report.summary())
+    # a report sorts by the witness's JSON: equal witnesses are adjacent
+    last = text = None
     for inputs, witness in report.counterexamples:
-        print(f"counterexample {se.dumps(se.pb_to_obj(witness))} {inputs}")
+        if witness != last:
+            last, text = witness, se.dumps(se.pb_to_obj(witness))
+        print(f"counterexample {text} {inputs}")
     if out:
         _emit(json.dumps(report.to_obj(), indent=2), out)
     return 0 if report.ok else 3

@@ -42,7 +42,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter, itemgetter, ne
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 from . import descriptors as de
@@ -227,20 +227,20 @@ def _labelled(found: list[tuple[str, PBij]], label) -> list[tuple[str, PBij]]:
     return [(text + suffix, h) for suffix, h in found]
 
 
-def _failing(d1, d2, scopes, reach: int, bound: int, fails) -> list[PBij]:
+def _failing(scopes, reach: int, bound: int, fails) -> list[PBij]:
     """The elements h of the ``scopes`` (``de._reach`` triples) with
-    ``fails(h in d1, h in d2)``, each once, in the order their classes are
-    generated; ``_report`` alone orders them.  The scopes are disjoint,
-    and ``reach`` covers both sets' reaches.  Each scope is split into
-    classes by (pairs below ``reach``, image); membership in either set is
-    constant on a class, as it reads only those, so the first element that
-    comes with each class alone is tested, and only a class that fails is
-    listed, whole."""
+    ``fails(h)``, each once, in the order their classes are generated;
+    ``_report`` alone orders them.  The scopes are disjoint, and ``fails``
+    reads only h's membership in sets whose reaches ``reach`` covers.  Each
+    scope is split into classes by (pairs below ``reach``, image);
+    membership in each set is constant on a class, as it reads only those,
+    so the first element that comes with each class alone is tested, and
+    only a class that fails is listed, whole."""
     _check_bound(bound)
     found = []
     for below, r, _ in scopes:
         for rep, cls in _scope_classes(below, r, reach, bound):
-            if fails(de.member(d1, rep), de.member(d2, rep)):
+            if fails(rep):
                 found += _class_elements(*cls)
     return found
 
@@ -248,7 +248,9 @@ def _failing(d1, d2, scopes, reach: int, bound: int, fails) -> list[PBij]:
 def _escapes(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[PBij]:
     """Universe elements in the first set but not the second."""
     s1, s2 = de._reach(d1), de._reach(d2)
-    return _failing(d1, d2, [s1], max(s1[2], s2[2]), bound, lambda a, b: a and not b)
+    return _failing(
+        [s1], max(s1[2], s2[2]), bound, lambda h: de.member(d1, h) and not de.member(d2, h)
+    )
 
 
 def _mismatches(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[PBij]:
@@ -265,7 +267,9 @@ def _mismatches(d1: de.SetDescriptor, d2: de.SetDescriptor, bound: int) -> list[
     (p1, r1, reach1), (p2, _, reach2) = wide, narrow
     nested = p2[: bisect_left(p2, (r1,))] == p1
     scopes = [wide] if nested else [wide, narrow]
-    return _failing(d1, d2, scopes, max(reach1, reach2), bound, ne)
+    return _failing(
+        scopes, max(reach1, reach2), bound, lambda h: de.member(d1, h) != de.member(d2, h)
+    )
 
 
 def subset_check(
@@ -849,28 +853,6 @@ def available_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _send_share(write_end: int, evaluate, bound: int, cases: list):
-    """In a forked child: evaluate ``cases`` and write their counterexamples
-    as (label, pairs) builtins, or the exception raised, pickled to
-    ``write_end``; then end the process.  It never returns, so the child
-    cannot run on in its caller's stack."""
-    code = 1
-    try:
-        import pickle
-
-        try:
-            result = [
-                (label, h.pairs) for case in cases for label, h in evaluate(bound, case)
-            ]
-        except BaseException as exc:  # re-raised in the parent
-            result = exc
-        with open(write_end, "wb") as pipe:
-            pickle.dump(result, pipe)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 # The rest of a run is forked out only when it would take longer than this
 # serially.  Medians of 50-300 round trips on a 2-CPU Xeon VM, Python
 # 3.11.7: forking one child, unpickling the empty result it pipes back and
@@ -883,36 +865,17 @@ def _send_share(write_end: int, evaluate, bound: int, cases: list):
 FORK_MIN_REST_S = 0.005
 
 
-def _evaluate(evaluate, bound: int, cases: list, workers: int) -> list:
-    """Counterexamples of ``cases``, evaluated in order in this process
-    until the cases done show that the rest is worth a fork.  After each
-    case the rest's serial time is estimated as elapsed × left / done; once
-    that passes FORK_MIN_REST_S (5 ms, about twice the 2.0-2.1 ms fork,
-    pipe, pickle and reap round trip measured in a 25 MB process) with at
-    least two cases left, the rest is shared among min(workers, left)
-    workers by ``_evaluate_shared``.  One worker forks nothing.  Deciding
-    again after every case forks a run whose costly cases follow cheap ones
-    as soon as one of them is done."""
-    found = []
-    started = time.perf_counter()
-    for done, case in enumerate(cases, 1):
-        found += evaluate(bound, case)
-        left = len(cases) - done
-        shared = min(workers, left)
-        if shared > 1 and (time.perf_counter() - started) * left / done > FORK_MIN_REST_S:
-            return found + _evaluate_shared(evaluate, bound, cases[done:], shared)
-    return found
-
-
 def _evaluate_shared(evaluate, bound: int, cases: list, workers: int) -> list:
     """Counterexamples of ``cases`` from ``workers`` processes, at least
     two: this one evaluates ``cases[0::workers]``, and forked child ``i``
-    evaluates ``cases[i::workers]`` of the list it inherited and sends the
-    result down its own pipe.  A child's exception is raised here; a child
-    that ends without sending its whole result raises ChildProcessError.
-    Each pipe is read to EOF before its child is reaped, so no result is too
-    large to send; if anything raises, the children still running are
-    killed, and every child is reaped before this returns."""
+    evaluates ``cases[i::workers]`` of the list it inherited, writes its
+    counterexamples as (label, pairs) builtins, or the exception raised,
+    pickled down its own pipe, and ends with ``os._exit``.  A child's
+    exception is raised here; a child that ends without sending its whole
+    result raises ChildProcessError.  Each pipe is read to EOF before its
+    child is reaped, so no result is too large to send; if anything raises,
+    the children still running are killed, and every child is reaped before
+    this returns."""
     import pickle
     import signal
 
@@ -923,8 +886,22 @@ def _evaluate_shared(evaluate, bound: int, cases: list, workers: int) -> list:
             pipe = open(read_end, "rb")
             try:
                 pid = os.fork()
-                if pid == 0:
-                    _send_share(write_end, evaluate, bound, cases[share::workers])
+                if pid == 0:  # the child, which never returns
+                    code = 1
+                    try:
+                        try:
+                            result = [
+                                (label, h.pairs)
+                                for case in cases[share::workers]
+                                for label, h in evaluate(bound, case)
+                            ]
+                        except BaseException as exc:  # re-raised in the parent
+                            result = exc
+                        with open(write_end, "wb") as out:
+                            pickle.dump(result, out)
+                        code = 0
+                    finally:
+                        os._exit(code)
             except BaseException:
                 pipe.close()
                 raise
@@ -962,15 +939,17 @@ def run_suite(
     """Run one named invariant battery and report counterexamples.
 
     Identical (bound, seed, sample) give identical reports apart from the
-    elapsed time, whatever the worker count.  The calling process evaluates
-    the cases in order, and after each one estimates the rest's serial time
-    as elapsed × left / done.  Once that passes FORK_MIN_REST_S (5 ms, about
-    twice a measured fork, pipe, pickle and reap round trip of 2.0-2.1 ms in
-    a 25 MB process) with at least two cases left, the rest is shared among
-    ``min(jobs, left, available CPUs)`` workers: the calling process is one
-    of them, and the others are forked children that evaluate their share
-    of the cases they inherited, without building them again.  So ``jobs``
-    is an upper bound, and a run whose cases are cheap forks nothing.
+    elapsed time, whatever the worker count.  The calling process builds
+    the cases and evaluates them in order, and after each one estimates the
+    rest's serial time as elapsed × left / done, timed from the first case.
+    Once that passes FORK_MIN_REST_S, whose comment gives the measured cost
+    of a fork, with at least two cases left, the rest is shared among
+    ``min(jobs, left, available CPUs)`` workers by ``_evaluate_shared``: the
+    calling process is one of them, and the others are forked children that
+    evaluate their share of the cases they inherited, without building them
+    again.  So ``jobs`` is an upper bound, and a run whose cases are cheap
+    forks nothing.  Deciding again after every case forks a run whose costly
+    cases follow cheap ones as soon as one of them is done.
     """
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r} (have {', '.join(_SUITES)})")
@@ -988,5 +967,14 @@ def run_suite(
         raise DomainError(f"jobs must be at least 1, got {jobs}")
     started = time.perf_counter()
     cases = build(bound, seed, sample)
-    found = _evaluate(evaluate, bound, cases, min(jobs, available_cpus()))
+    workers = min(jobs, available_cpus())
+    found = []
+    evaluating = time.perf_counter()
+    for done, case in enumerate(cases, 1):
+        found += evaluate(bound, case)
+        left = len(cases) - done
+        shared = min(workers, left)
+        if shared > 1 and (time.perf_counter() - evaluating) * left / done > FORK_MIN_REST_S:
+            found += _evaluate_shared(evaluate, bound, cases[done:], shared)
+            break
     return _report(name, len(cases), found, started)

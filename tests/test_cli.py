@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 import waning
 import waning.cli as cli
 import waning.harness as harness
-from strategies import count_forks, deadline
+from strategies import count_forks, deadline, least_joint_radius
 from waning import GenFn, PBij, much_wan_witness
 from waning.cli import main
 from waning.harness import MAX_BOUND, run_suite
@@ -434,6 +435,28 @@ def test_verify_continuity_small(capsys):
         "1",
     )
     assert code == 0 and "pass" in out
+
+
+def test_verify_serialises_each_distinct_witness_once(capsys, monkeypatch):
+    # the continuity row of test_harness.FAILING_REPORTS: 1,039
+    # counterexamples over 98 distinct witnesses
+    monkeypatch.setattr(waning.descriptors, "continuity_p", least_joint_radius)
+    calls = []
+    real = waning.serialize.dumps
+    monkeypatch.setattr(
+        waning.serialize, "dumps", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    code, out, _ = run(
+        capsys, "verify", "--suite", "continuity", "--bound", "4", "--seed", "2", "--jobs", "1"
+    )
+    rest = out.split("\n", 1)[1]
+    lines = rest.splitlines()
+    assert code == 3 and len(lines) == 1039
+    assert len(calls) == len({line.split(" ")[1] for line in lines}) == 98
+    assert (
+        hashlib.sha256(rest.encode()).hexdigest()
+        == "c9e0a90729f7e31911ed78a8e483dfb60634e3a2c5506831f70ac6651bf624b5"
+    )
 
 
 def test_round_trip_join_into_compare(capsys):

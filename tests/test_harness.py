@@ -368,6 +368,16 @@ def test_product_containment_matches_brute_force_on_failing_seeds(monkeypatch, s
         assert matches_all_products(f, a, b, 4)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: continuity_p can return a radius below r, and the "
+    "product then leaves W(f, a * b, r); seed 2 at bound 4 reports 74 "
+    "counterexamples until it returns at least r",
+)
+def test_continuity_passes_at_seed_2():
+    assert run_suite("continuity", bound=4, seed=2, jobs=1).ok
+
+
 def test_continuity_builds_one_report(monkeypatch):
     # its cases hand back their products unsorted, and the suite sorts once
     calls = []
