@@ -65,8 +65,10 @@ class PointHit(SetDescriptor):
     x: int
     y: int
 
-    def __post_init__(self):
-        check_nat(self.x, self.y)
+    def __init__(self, x: int, y: int):
+        check_nat(x, y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def _has(self, h: PBij) -> bool:
         return h.get(self.x) == self.y
@@ -78,8 +80,9 @@ class DomMiss(SetDescriptor):
 
     x: int
 
-    def __post_init__(self):
-        check_nat(self.x)
+    def __init__(self, x: int):
+        check_nat(x)
+        object.__setattr__(self, "x", x)
 
     def _has(self, h: PBij) -> bool:
         return h.get(self.x) is None
@@ -91,8 +94,9 @@ class ImMiss(SetDescriptor):
 
     x: int
 
-    def __post_init__(self):
-        check_nat(self.x)
+    def __init__(self, x: int):
+        check_nat(x)
+        object.__setattr__(self, "x", x)
 
     def _has(self, h: PBij) -> bool:
         return not h.has_target(self.x)
@@ -108,13 +112,13 @@ class UBasic(SetDescriptor):
     n: int
     avoid: frozenset[int]
 
-    def __post_init__(self):
-        check_nat(self.n)
-        if not isinstance(self.f, (GenFn, WaningFn)):
-            raise InvalidDescriptor(
-                f"not a waning or eventually-constant function: {self.f!r}"
-            )
-        object.__setattr__(self, "avoid", nat_set(self.avoid))
+    def __init__(self, f: Union[GenFn, WaningFn], n: int, avoid: Iterable[int]):
+        check_nat(n)
+        if not isinstance(f, (GenFn, WaningFn)):
+            raise InvalidDescriptor(f"not a waning or eventually-constant function: {f!r}")
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "avoid", nat_set(avoid))
 
     def _has(self, h: PBij) -> bool:
         avoid, inside = self.avoid, 0
@@ -135,26 +139,32 @@ class WNbhd(SetDescriptor):
     g: PBij
     r: int
 
-    def __post_init__(self):
-        check_nat(self.r)
-        if not isinstance(self.f, WaningFn):
-            raise InvalidDescriptor(f"not a waning function: {self.f!r}")
-        if not isinstance(self.g, PBij):
-            raise InvalidDescriptor(f"not a partial bijection: {self.g!r}")
-        if self.r < valid_r_min(self.f, self.g):
-            raise InvalidDescriptor(
-                f"radius {self.r} is not valid for this neighbourhood"
-            )
+    def __init__(self, f: WaningFn, g: PBij, r: int):
+        check_nat(r)
+        if not isinstance(f, WaningFn):
+            raise InvalidDescriptor(f"not a waning function: {f!r}")
+        if not isinstance(g, PBij):
+            raise InvalidDescriptor(f"not a partial bijection: {g!r}")
+        if r < valid_r_min(f, g):
+            raise InvalidDescriptor(f"radius {r} is not valid for this neighbourhood")
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "r", r)
 
     def _has(self, h: PBij) -> bool:
-        g, r = self.g, self.r
-        if not _agrees_below(h, g, r):
+        g, r, pairs = self.g, self.r, h.pairs
+        # h's pairs below r must be g's: the first k of each, with g's
+        # (k+1)-th source, if any, at r or past it
+        k = bisect_left(pairs, (r,))
+        if pairs[:k] != g.pairs[:k] or (len(g.pairs) > k and g.pairs[k][0] < r):
             return False
-        mistakes = 0
-        for _, y in h.pairs:
-            if y < r and not g.has_target(y):
+        # a pair below r agrees with g, so its target lies in im(g): only the
+        # pairs from r on can be mistakes
+        image, mistakes = g.image, 0
+        for _, y in pairs[k:]:
+            if y < r and y not in image:
                 mistakes += 1
-        return mistakes <= self.f(len(g))
+        return mistakes <= self.f(len(g.pairs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,9 +187,11 @@ class Wany(SetDescriptor):
         )
 
     def _has(self, h: PBij) -> bool:
-        if any(x < self.n for x, _ in h.pairs):
+        # the pairs are sorted, so the first source is the least
+        if h.pairs and h.pairs[0][0] < self.n:
             return False
-        return any(all(y not in ys for _, y in h.pairs) for ys in self.families)
+        image = h.image
+        return any(ys.isdisjoint(image) for ys in self.families)
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,10 +232,12 @@ class FixBelow(SetDescriptor):
     g: PBij
     r: int
 
-    def __post_init__(self):
-        check_nat(self.r)
-        if not isinstance(self.g, PBij):
-            raise InvalidDescriptor(f"not a partial bijection: {self.g!r}")
+    def __init__(self, g: PBij, r: int):
+        check_nat(r)
+        if not isinstance(g, PBij):
+            raise InvalidDescriptor(f"not a partial bijection: {g!r}")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "r", r)
 
     def _has(self, h: PBij) -> bool:
         return _agrees_below(h, self.g, self.r)
@@ -381,10 +395,10 @@ def much_wan_witness(f: Union[GenFn, WaningFn], g: PBij, r: int) -> SetDescripto
     if r > SIZE_LIMIT:
         raise BoundTooLarge(f"the witness avoids {r} points, above {SIZE_LIMIT}")
     b = size_value + i - (least_i - j)
-    outside = frozenset(range(r)) - g.image
+    # range(r) outside im(g), and the i - b lowest targets of g's pairs below r
     hits = sorted([y for _, y in g.pairs[:i]])
-    picked = frozenset(hits[: i - b])
-    return Intersection((FixBelow(g, r), UBasic(f, j, outside | picked)))
+    avoided = (frozenset(range(r)) - g.image).union(hits[: i - b])
+    return Intersection((FixBelow(g, r), UBasic(f, j, avoided)))
 
 
 def tfprime_refinement(
@@ -507,8 +521,8 @@ def cover_witness(
         raise BadBase("base is not a partial bijection from n avoiding the set")
     if not includes_dommiss and not covered:
         return h0
-    v = 0
-    while v in avoid or h0.has_target(v) or v in covered:
+    image, v = h0.image, 0
+    while v in avoid or v in image or v in covered:
         v += 1
     # n lies past every source of h0 and v outside its image
     return PBij._from_sorted(h0.pairs + ((n, v),))

@@ -298,21 +298,21 @@ def enumerate_below(f: WaningFn) -> list[WaningFn]:
         raise BoundTooLarge(too_many)
     results: list[WaningFn] = []
 
-    def grow(drops: list[int], i: int) -> None:
+    def grow(drops: tuple[int, ...], i: int) -> None:
         # entering with value 0 at index i pins the function from here on
         if len(results) == SIZE_LIMIT:
             raise BoundTooLarge(too_many)
         # canonical: each value is drawn below the last and above 0
-        results.append(WaningFn._canonical(0, tuple(drops)))
+        results.append(WaningFn._canonical(0, drops))
         if i >= len(top):
             return
         ceiling = top[i] if not drops else min(top[i], drops[-1] - 1)
         # with values ascending, the preorder lists each run before its
         # extensions and after runs smaller where they differ: sort_key order
         for v in range(1, ceiling + 1):
-            grow(drops + [v], i + 1)
+            grow(drops + (v,), i + 1)
 
-    grow([], 0)
+    grow((), 0)
     return results
 
 

@@ -539,6 +539,9 @@ def _continuity_cases(bound: int, seed: int, sample: int) -> list:
     rng = random.Random(seed)
     fs = waning_sample()
     small = enumerate_universe(3)
+    # every case scans I_bound: built here, as basis and much-wan do, so that
+    # run_suite's estimate of the rest, taken from the first case, omits it
+    enumerate_universe(bound)
     return [
         (rng.choice(fs), rng.choice(small), rng.choice(small))
         for _ in range(sample)
@@ -618,36 +621,55 @@ def _remark_eval(bound: int, case) -> list[tuple[str, PBij]]:
 
 
 def _dual_cases(bound: int, seed: int, sample: int) -> list:
+    """One case per sampled f, each holding what no f changes, built once
+    per run: the dual-side topology of every g of the sample, and the
+    ``_cross_family_witnesses``.  A witness, its inverse and its DomMiss and
+    ImMiss verdicts depend on (x, r) alone, and ``compare``'s right side on
+    g alone, so each case builds only its own W(f, EMPTY, r) and Dual per r
+    and one direct-side topology."""
     fs = waning_sample()
-    return [(f, fs) for f in fs[:sample]]
+    duals = [PolishTopology(g, dual=True) for g in fs]
+    witnesses = _cross_family_witnesses(bound)
+    return [(f, fs, duals, witnesses) for f in fs[:sample]]
 
 
-def _cross_family_failures(f: WaningFn, bound: int) -> list[tuple[str, PBij]]:
-    """The x < bound, r < 2 * bound where ``cross_family_witness(x, r)`` is
-    outside Dual(W(f, EMPTY, r)) or inside DomMiss(x), or its inverse is
-    outside W(f, EMPTY, r) or inside ImMiss(x)."""
+def _cross_family_witnesses(bound: int) -> list:
+    """(x, r, h, inverse, avoided) for x < bound and r < 2 * bound, x-major:
+    h is ``cross_family_witness(x, r)``, and avoided whether h lies in
+    DomMiss(x) or its inverse in ImMiss(x)."""
     found = []
-    nbhds = [de.WNbhd(f, EMPTY, r) for r in range(2 * bound)]
-    duals = [de.Dual(w) for w in nbhds]
     for x in range(bound):
-        for r, (w, dual) in enumerate(zip(nbhds, duals)):
+        for r in range(2 * bound):
             h = de.cross_family_witness(x, r)
             inverse = h.inverse()
-            inside = de.member(dual, h) and de.member(w, inverse)
             avoided = de.member(de.DomMiss(x), h) or de.member(de.ImMiss(x), inverse)
-            if avoided or not inside:
-                label = dumps({"f": fn_to_obj(f), "x": x, "r": r})
-                found.append((label + "#witness", h))
+            found.append((x, r, h, inverse, avoided))
+    return found
+
+
+def _cross_family_failures(
+    f: WaningFn, bound: int, witnesses: list
+) -> list[tuple[str, PBij]]:
+    """The ``witnesses`` that are avoided, or where h is outside
+    Dual(W(f, EMPTY, r)) or its inverse outside W(f, EMPTY, r)."""
+    nbhds = [de.WNbhd(f, EMPTY, r) for r in range(2 * bound)]
+    duals = [de.Dual(w) for w in nbhds]
+    found = []
+    for x, r, h, inverse, avoided in witnesses:
+        if avoided or not (de.member(duals[r], h) and de.member(nbhds[r], inverse)):
+            label = dumps({"f": fn_to_obj(f), "x": x, "r": r})
+            found.append((label + "#witness", h))
     return found
 
 
 def _dual_eval(bound: int, case) -> list[tuple[str, PBij]]:
     """Across the two families only the top is comparable: off the top the
     witnesses separate them, and ``compare`` agrees on the whole sample."""
-    f, fs = case
-    found = [] if f == CONST_ZERO else _cross_family_failures(f, bound)
-    for g in fs:
-        order = compare(PolishTopology(f), PolishTopology(g, dual=True))
+    f, fs, duals, witnesses = case
+    found = [] if f == CONST_ZERO else _cross_family_failures(f, bound, witnesses)
+    direct = PolishTopology(f)
+    for g, dual in zip(fs, duals):
+        order = compare(direct, dual)
         if (order == Comparison.INCOMPARABLE) != (CONST_ZERO not in (f, g)):
             label = dumps({"f": fn_to_obj(f), "g": fn_to_obj(g)})
             found.append((label + "#compare", EMPTY))
@@ -854,15 +876,15 @@ def available_cpus() -> int:
 
 
 # The rest of a run is forked out only when it would take longer than this
-# serially.  Medians of 50-300 round trips on a 2-CPU Xeon VM, Python
-# 3.11.7: forking one child, unpickling the empty result it pipes back and
-# reaping it takes 1.7-1.8 ms in a 20 MB process with I_5 and I_6 built and
-# 2.0-2.1 ms at 25 MB, the size of a B = 6 benchmark run; a child that reads
-# every element of I_6 ends 2.5-3.3 ms later than the same read in-process,
-# its copy-on-write faults included.  Two workers end the rest in about half
-# its serial time plus one round trip, so a fork pays once the rest passes
-# about twice the round trip.
-FORK_MIN_REST_S = 0.005
+# serially.  Medians of 21 runs on a 2-CPU Xeon VM, Python 3.11.7, in a
+# 20 MB process with I_5 and I_6 built: the rest of basis, much-wan and
+# continuity at B = 5 (seeds 1-3, 7-20 ms serially), shared by this process
+# and one forked child, ends 5.9-12.6 ms later than half its serial time
+# (upper quartiles up to 14.9 ms), the fork, the child's share start, the
+# pickle, the pipe and the reap included.  Two workers end the rest in half
+# its serial time plus that cost, so a fork pays once the rest passes about
+# twice the largest.
+FORK_MIN_REST_S = 0.03
 
 
 def _evaluate_shared(evaluate, bound: int, cases: list, workers: int) -> list:

@@ -203,6 +203,13 @@ def closure_drops_its_last_drop(monkeypatch):
     monkeypatch.setattr(de, "closure", fault)
 
 
+def dom_miss_negated(monkeypatch):
+    """A deliberate fault for ``DomMiss``: membership negated, so every
+    cross-family witness of ``dual`` lies in the DomMiss set it avoids."""
+    real = de.DomMiss._has
+    monkeypatch.setattr(de.DomMiss, "_has", lambda d, h: not real(d, h))
+
+
 def least_joint_radius(f, a, b, r):
     """A deliberate fault for ``continuity_p``: the least radius valid for
     both factors.  Many products of its neighbourhoods leave the target."""

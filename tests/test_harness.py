@@ -17,6 +17,7 @@ from strategies import (
     count_forks,
     deadline,
     descriptors,
+    dom_miss_negated,
     least_joint_radius,
     matches_all_products,
     pbijs,
@@ -414,6 +415,12 @@ FAILING_REPORTS = [
         "continuity", 4, 2, _lowered_continuity_p, 1039,
         "a5909c07479d1c109c3dfcef168524508f2d6ed7c7980b69758fd903991e714a",
     ),
+    # every cross-family witness is reported once per sampled f but the top:
+    # its DomMiss verdict is built once per run, and still gates each case
+    (
+        "dual", 4, 1, dom_miss_negated, 1568,
+        "915ed43def6f1d02fc409a5c335a05f030f13be62438130973812b2fee2ef6b9",
+    ),
 ]
 
 
@@ -533,7 +540,9 @@ def test_dual_reports_a_faulty_compare(monkeypatch):
 
 def test_dual_witness_fails_at_the_top():
     # W(0, EMPTY, r) allows no mistake, so {(r, x)} escapes it when x < r
-    found = harness._cross_family_failures(CONST_ZERO, 4)
+    found = harness._cross_family_failures(
+        CONST_ZERO, 4, harness._cross_family_witnesses(4)
+    )
     cases = [json.loads(label.removesuffix("#witness")) for label, _ in found]
     assert sorted((c["x"], c["r"]) for c in cases) == [
         (x, r) for x in range(4) for r in range(8) if x < r

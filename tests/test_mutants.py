@@ -16,6 +16,7 @@ import pytest
 from strategies import (
     basis_refinement_one_less,
     closure_drops_its_last_drop,
+    dom_miss_negated,
     products_match_below_continuity_p,
     swap_conjugate,
 )
@@ -27,6 +28,7 @@ from waning import (
     Intersection,
     InvalidDescriptor,
     UBasic,
+    Wany,
     WNbhd,
     enumerate_universe,
     member,
@@ -128,6 +130,14 @@ def _valid_r_min_one_too_high(monkeypatch):
     monkeypatch.setattr(de, "valid_r_min", lambda f, g: real(f, g) + 1)
 
 
+def _wany_needs_every_family(monkeypatch):
+    # the image must miss every avoided set of the family, not some
+    real = Wany._has
+    monkeypatch.setattr(
+        Wany, "_has", lambda d, h: all(real(Wany(d.n, [ys]), h) for ys in d.families)
+    )
+
+
 def _suite_passes(name, bound):
     return lambda: run_suite(name, bound=bound, seed=1, jobs=1).ok
 
@@ -176,6 +186,8 @@ MUTANTS = [
     (_dual_reach_zero, _class_scan_matches_a_naive_scan),
     (_scope_classes_ignore_reach, _class_scan_matches_a_naive_scan),
     (_valid_r_min_one_too_high, _least_valid_radii_admitted),
+    (dom_miss_negated, _suite_passes("dual", 3)),
+    (_wany_needs_every_family, _suite_passes("remark", 3)),
 ]
 
 
