@@ -7,6 +7,14 @@ states its exact membership test on a finite partial bijection as its method
 Subset and equality questions between descriptors are settled by exhaustive
 checks over bounded universes (see ``waning.harness``), never symbolically.
 
+Each value is checked once, where it is built: the public constructors of
+descriptors, ``PBij`` and ``WaningFn`` check their input.  The trusted paths
+check nothing and store each field through its slot's setter:
+``PBij._from_sorted``, ``WaningFn._canonical``, and here the U, W and
+intersection sets that ``much_wan_witness`` and ``tfprime_refinement``
+build.  Each states why its input is valid; a witness still makes the checks
+that its caller's values have not passed, in the constructors' order.
+
 The refinement operations return witnesses extracted from constructive
 arguments: a radius whose principal neighbourhood sits inside a given basic
 set, a descriptor that rewrites a neighbourhood through the waning closure,
@@ -114,11 +122,10 @@ class UBasic(SetDescriptor):
 
     def __init__(self, f: Union[GenFn, WaningFn], n: int, avoid: Iterable[int]):
         check_nat(n)
-        if not isinstance(f, (GenFn, WaningFn)):
-            raise InvalidDescriptor(f"not a waning or eventually-constant function: {f!r}")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "avoid", nat_set(avoid))
+        _check_fn(f)
+        _u_f(self, f)
+        _u_n(self, n)
+        _u_avoid(self, nat_set(avoid))
 
     def _has(self, h: PBij) -> bool:
         avoid, inside = self.avoid, 0
@@ -143,13 +150,12 @@ class WNbhd(SetDescriptor):
         check_nat(r)
         if not isinstance(f, WaningFn):
             raise InvalidDescriptor(f"not a waning function: {f!r}")
-        if not isinstance(g, PBij):
-            raise InvalidDescriptor(f"not a partial bijection: {g!r}")
+        _check_pbij(g)
         if r < valid_r_min(f, g):
             raise InvalidDescriptor(f"radius {r} is not valid for this neighbourhood")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "r", r)
+        _w_f(self, f)
+        _w_g(self, g)
+        _w_r(self, r)
 
     def _has(self, h: PBij) -> bool:
         g, r, pairs = self.g, self.r, h.pairs
@@ -234,13 +240,39 @@ class FixBelow(SetDescriptor):
 
     def __init__(self, g: PBij, r: int):
         check_nat(r)
-        if not isinstance(g, PBij):
-            raise InvalidDescriptor(f"not a partial bijection: {g!r}")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "r", r)
+        _check_pbij(g)
+        _fix_g(self, g)
+        _fix_r(self, r)
 
     def _has(self, h: PBij) -> bool:
         return _agrees_below(h, self.g, self.r)
+
+
+def _check_fn(f) -> None:
+    if not isinstance(f, (GenFn, WaningFn)):
+        raise InvalidDescriptor(f"not a waning or eventually-constant function: {f!r}")
+
+
+def _check_pbij(g) -> None:
+    if not isinstance(g, PBij):
+        raise InvalidDescriptor(f"not a partial bijection: {g!r}")
+
+
+# slot setters, for the constructors and the trusted builds
+_u_f, _u_n, _u_avoid = UBasic.f.__set__, UBasic.n.__set__, UBasic.avoid.__set__
+_w_f, _w_g, _w_r = WNbhd.f.__set__, WNbhd.g.__set__, WNbhd.r.__set__
+_fix_g, _fix_r = FixBelow.g.__set__, FixBelow.r.__set__
+_and_parts, _and_depth = Intersection.parts.__set__, Intersection.depth.__set__
+
+
+def _ubasic(f: Union[GenFn, WaningFn], n: int, avoid: frozenset[int]) -> UBasic:
+    """Trusted build: the caller has shown f a GenFn or WaningFn, n a
+    natural and avoid a frozenset of naturals."""
+    d = object.__new__(UBasic)
+    _u_f(d, f)
+    _u_n(d, n)
+    _u_avoid(d, avoid)
+    return d
 
 
 def _set_depth(d: Union[Dual, Intersection], parts: tuple) -> None:
@@ -337,7 +369,7 @@ def basis_refinement(f: WaningFn, n: int, avoid: Iterable[int], g: PBij) -> int:
     whose target is outside ``avoid``; g is a member, so that pair exists.
     """
     basic = UBasic(f, n, avoid)
-    if not member(basic, g):
+    if not basic._has(g):
         raise NotMember("base point is outside the basic set")
     r = valid_r_min(f, g)
     if basic.avoid:
@@ -398,7 +430,16 @@ def much_wan_witness(f: Union[GenFn, WaningFn], g: PBij, r: int) -> SetDescripto
     # range(r) outside im(g), and the i - b lowest targets of g's pairs below r
     hits = sorted([y for _, y in g.pairs[:i]])
     avoided = (frozenset(range(r)) - g.image).union(hits[: i - b])
-    return Intersection((FixBelow(g, r), UBasic(f, j, avoided)))
+    # trusted: r is checked above, j is an index, avoided holds naturals and
+    # two leaves nest one level deep; g and f have their constructors' checks
+    _check_pbij(g)
+    _check_fn(f)
+    fix, d = object.__new__(FixBelow), object.__new__(Intersection)
+    _fix_g(fix, g)
+    _fix_r(fix, r)
+    _and_parts(d, (fix, _ubasic(f, j, avoided)))
+    _and_depth(d, 1)
+    return d
 
 
 def tfprime_refinement(
@@ -412,11 +453,12 @@ def tfprime_refinement(
     missing it.
     """
     basic = UBasic(f, n, avoid)
-    if not member(basic, g):
+    if not basic._has(g):
         raise NotMember("base point is outside the basic set")
     fp = closure(f)
     if fp(len(g.pairs)) > 0:
-        return UBasic(fp, n, basic.avoid)
+        # trusted: fp is a WaningFn, and basic's constructor checked n and avoid
+        return _ubasic(fp, n, basic.avoid)
     # the radius clears avoid and the sources of the pairs hitting it or
     # among the first n missing it; the sources ascend, so the last counts
     avoid, shown, reach = basic.avoid, 0, 0
@@ -426,7 +468,15 @@ def tfprime_refinement(
                 continue
             shown += 1
         reach = x + 1
-    return WNbhd(fp, g, max(valid_r_min(fp, g), max(avoid, default=-1) + 1, reach))
+    # trusted: fp is a WaningFn, and the radius a natural no less than
+    # valid_r_min(fp, g); g has its constructor's check
+    r = max(valid_r_min(fp, g), max(avoid, default=-1) + 1, reach)
+    _check_pbij(g)
+    d = object.__new__(WNbhd)
+    _w_f(d, fp)
+    _w_g(d, g)
+    _w_r(d, r)
+    return d
 
 
 def continuity_p(f: WaningFn, a: PBij, b: PBij, r: int) -> int:

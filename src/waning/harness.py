@@ -528,8 +528,12 @@ def _much_wan_eval(bound: int, case) -> list[tuple[str, PBij]]:
         return _labelled(found, lambda: {"f": fn_to_obj(f), "g": pb_to_obj(g), "r": r})
     basic = de.UBasic(f, n, avoid)
     refined = de.tfprime_refinement(f, n, avoid, g)
-    found = [] if de.member(refined, g) else [("#base-point", g)]
-    found += [("#refine", h) for h in _escapes(refined, basic, bound)]
+    # the witness builds its neighbourhood without WNbhd's radius check
+    if isinstance(refined, de.WNbhd) and refined.r < de.valid_r_min(refined.f, refined.g):
+        found = [("#radius", g)]
+    else:
+        found = [] if de.member(refined, g) else [("#base-point", g)]
+        found += [("#refine", h) for h in _escapes(refined, basic, bound)]
     return _labelled(
         found, lambda: {"f": fn_to_obj(f), "g": pb_to_obj(g), "n": n, "X": sorted(avoid)}
     )

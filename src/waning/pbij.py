@@ -41,13 +41,13 @@ class PBij:
                 raise DomainError(f"target {y} hit twice")
             fwd[x] = y
             targets.add(y)
-        object.__setattr__(self, "pairs", tuple(sorted(fwd.items())))
+        _set_pairs(self, tuple(sorted(fwd.items())))
 
     @classmethod
     def _from_sorted(cls, canon: tuple[tuple[int, int], ...]) -> "PBij":
         """Fast path for pairs already known to be sorted and bijective."""
         self = object.__new__(cls)
-        object.__setattr__(self, "pairs", canon)
+        _set_pairs(self, canon)
         return self
 
     @classmethod
@@ -66,7 +66,7 @@ class PBij:
             return self._map
         except AttributeError:
             fwd = dict(self.pairs)
-            object.__setattr__(self, "_map", fwd)
+            _set_map(self, fwd)
             return fwd
 
     def get(self, x: int, default=None):
@@ -92,7 +92,7 @@ class PBij:
             return self._image
         except AttributeError:
             image = frozenset(y for _, y in self.pairs)
-            object.__setattr__(self, "_image", image)
+            _set_image(self, image)
             return image
 
     def __mul__(self, other: "PBij") -> "PBij":
@@ -130,6 +130,10 @@ class PBij:
         return f"PBij({{{body}}})"
 
 
+# the slots' setters, which store past the frozen ``__setattr__`` (see WaningFn)
+_set_pairs, _set_map, _set_image = (
+    PBij.pairs.__set__, PBij._map.__set__, PBij._image.__set__
+)
 EMPTY = PBij()
 
 

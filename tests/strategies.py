@@ -1,8 +1,10 @@
 """Shared hypothesis strategies, brute-force oracles and test helpers."""
 
 import contextlib
+import copy
 import dataclasses
 import os
+import pickle
 import random
 import signal
 from bisect import bisect_left
@@ -30,6 +32,7 @@ from waning import (
 from waning import descriptors as de
 from waning import harness
 from waning.functions import check_nat
+from waning.serialize import descriptor_to_obj, fn_to_obj, pb_to_obj
 from waning.descriptors import (
     DomMiss,
     Dual,
@@ -37,6 +40,7 @@ from waning.descriptors import (
     ImMiss,
     Intersection,
     PointHit,
+    SetDescriptor,
     UBasic,
     Wany,
     WNbhd,
@@ -161,11 +165,39 @@ def rebuilt(value):
     return type(value)(**{f.name: rebuilt(getattr(value, f.name)) for f in fields})
 
 
+def _shape(value):
+    """The type and depth of ``value`` and of every value in its fields,
+    depth first."""
+    yield type(value), getattr(value, "depth", None)
+    if isinstance(value, tuple):
+        for part in value:
+            yield from _shape(part)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _shape(getattr(value, field.name))
+
+
+def _to_obj(value):
+    if isinstance(value, SetDescriptor):
+        return descriptor_to_obj(value)
+    return pb_to_obj(value) if isinstance(value, PBij) else fn_to_obj(value)
+
+
 def assert_rebuilds(value):
     """Oracle for a value built without its constructor's checks: the checked
-    rebuild must succeed and be the same value."""
-    copy = rebuilt(value)
-    assert copy == value and hash(copy) == hash(value)
+    rebuild must succeed and be the same value in all a caller can see: type,
+    ``==``, hash, repr, JSON object and the type and depth of every nested
+    value, also after a pickle or deepcopy round trip of either."""
+    checked = rebuilt(value)
+    shape = list(_shape(value))
+    for twin in (
+        checked,
+        *(pickle.loads(pickle.dumps(v)) for v in (value, checked)),
+        *map(copy.deepcopy, (value, checked)),
+    ):
+        assert twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value) and _to_obj(twin) == _to_obj(value)
+        assert list(_shape(twin)) == shape
 
 
 def swap_conjugate(g, h):

@@ -1,4 +1,6 @@
+import itertools
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -744,13 +746,13 @@ def test_points_checked_before_a_set_merges_them(call):
         call()
 
 
-@given(genfns(), pbijs(max_point=5, max_size=3), st.integers(0, 3))
+@given(genfns() | waning_fns(), pbijs(max_point=5, max_size=3), st.integers(0, 3))
 def test_much_wan_witness_passes_the_checked_constructors(f, g, extra):
     assert_rebuilds(much_wan_witness(f, g, valid_r_min(closure(f), g) + extra))
 
 
 @given(
-    genfns(),
+    genfns() | waning_fns(),
     st.integers(0, 2),
     st.frozensets(st.integers(0, 6), max_size=3),
     pbijs(max_point=5, max_size=3),
@@ -791,3 +793,97 @@ def test_deep_dual_chain_answers_by_parity(d, h):
         deep = Dual(deep)
     assert deep.depth == MAX_NESTING
     assert member(deep, h) == member(Dual(d) if levels % 2 else d, h)
+
+
+# Bad input to the witnesses, whose sets skip their constructors' checks: the
+# witnesses make those checks themselves, and every combination below must
+# raise the error of the first check that fails, in the order stated by
+# _much_wan_refusal and _refinement_refusal.
+BASE = pb((0, 1), (2, 0))
+FUNCTIONS = [
+    GenFn(prefix=(1,)),  # its closure is 0 at |BASE|: tfprime builds a W set
+    GenFn(prefix=(3, 3, 3)),  # positive there: tfprime builds a U set
+    WaningFn(drops=(2, 1)),
+    None,
+    "x",
+    lambda k: 0,  # callable, as the witnesses call f, but no function type
+    BASE,
+]
+# a stand-in with BASE's pairs and image reads as BASE up to a type check
+ELEMENTS = [
+    BASE, None, BASE.pairs, SimpleNamespace(pairs=BASE.pairs, image=BASE.image)
+]
+# the first of each is valid: the radius 4 shows every pair of BASE, so it
+# is valid for every f, and BASE lies in the basic set (f, 0, {3})
+RADII = [4, True, 4.0, -1]
+SIZES = [0, True, 4.0, -1]
+POINTS = [[3], [True], [3.0], [-1]]
+
+
+def _natural(v):
+    return type(v) is int and v >= 0
+
+
+NOT_NATURAL = DomainError, "is not a natural"
+NO_PAIRS = AttributeError, "has no attribute 'pairs'"
+NOT_A_PBIJ = InvalidDescriptor, "not a partial bijection"
+NOT_A_FUNCTION = InvalidDescriptor, "not a waning or eventually-constant function"
+
+
+def _much_wan_refusal(f, g, r):
+    """(error, part of its message) of the first check much_wan_witness
+    fails, or None."""
+    if not _natural(r):
+        return NOT_NATURAL
+    if not hasattr(g, "pairs"):
+        return NO_PAIRS
+    if not callable(f):
+        return TypeError, "is not callable"
+    if not isinstance(g, PBij):
+        return NOT_A_PBIJ
+    if not isinstance(f, (GenFn, WaningFn)):
+        return NOT_A_FUNCTION
+    return None
+
+
+def _refinement_refusal(refine, f, n, avoid, g):
+    """(error, part of its message) of the first check a refinement fails,
+    or None."""
+    if not _natural(n):
+        return NOT_NATURAL
+    if not isinstance(f, (GenFn, WaningFn)):
+        return NOT_A_FUNCTION
+    if not all(map(_natural, avoid)):
+        return NOT_NATURAL
+    if not hasattr(g, "pairs"):
+        return NO_PAIRS
+    if refine is basis_refinement:
+        # its radius reads f's canonical form, which a GenFn lacks
+        return None if isinstance(f, WaningFn) else (AttributeError, "const_omega")
+    # only the W set that tfprime_refinement builds at a closure 0 checks g
+    if not isinstance(g, PBij) and closure(f)(len(g.pairs)) == 0:
+        return NOT_A_PBIJ
+    return None
+
+
+def _assert_refused(call, want):
+    try:
+        call()
+    except Exception as error:  # the type is compared exactly, not by subclass
+        assert want and type(error) is want[0] and want[1] in str(error), error
+    else:
+        assert want is None
+
+
+def test_much_wan_witness_refuses_bad_input_in_its_order():
+    for f, g, r in itertools.product(FUNCTIONS, ELEMENTS, RADII):
+        _assert_refused(lambda: much_wan_witness(f, g, r), _much_wan_refusal(f, g, r))
+
+
+@pytest.mark.parametrize(
+    "refine", [tfprime_refinement, basis_refinement], ids=["tfprime", "basis"]
+)
+def test_refinements_refuse_bad_input_in_their_order(refine):
+    for f, g, n, avoid in itertools.product(FUNCTIONS, ELEMENTS, SIZES, POINTS):
+        want = _refinement_refusal(refine, f, n, avoid, g)
+        _assert_refused(lambda: refine(f, n, avoid, g), want)

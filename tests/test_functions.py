@@ -498,6 +498,12 @@ def test_join_and_meet_pass_the_checked_constructor(f, g):
     assert_rebuilds(meet(f, g))
 
 
+@given(waning_fns())
+def test_canonical_builds_what_the_constructor_builds(f):
+    if not f.const_omega:
+        assert_rebuilds(WaningFn._canonical(f.omega_prefix, f.drops))
+
+
 def test_enumerate_below_passes_the_checked_constructor():
     for c in range(7):
         for w in enumerate_below(staircase(c)):

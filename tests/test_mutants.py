@@ -125,6 +125,19 @@ def _least_costs_skip_0(monkeypatch):
     monkeypatch.setattr(de, "_least_costs", fault)
 
 
+def _tfprime_radius_without_valid_r_min(monkeypatch):
+    # tfprime_refinement builds its neighbourhood without WNbhd's radius
+    # check, so a radius below valid_r_min(fp, g) is built as asked
+    real = de.tfprime_refinement
+
+    def fault(f, n, avoid, g):
+        with monkeypatch.context() as inside:
+            inside.setattr(de, "valid_r_min", lambda f, g: 0)
+            return real(f, n, avoid, g)
+
+    monkeypatch.setattr(de, "tfprime_refinement", fault)
+
+
 def _valid_r_min_one_too_high(monkeypatch):
     real = de.valid_r_min
     monkeypatch.setattr(de, "valid_r_min", lambda f, g: real(f, g) + 1)
@@ -183,6 +196,7 @@ MUTANTS = [
     (_much_wan_picks_one_target_fewer, _suite_passes("much-wan", 3)),
     (_intersection_tests_only_its_first_part, _suite_passes("much-wan", 3)),
     (_least_costs_skip_0, _suite_passes("much-wan", 3)),
+    (_tfprime_radius_without_valid_r_min, _suite_passes("much-wan", 3)),
     (_dual_reach_zero, _class_scan_matches_a_naive_scan),
     (_scope_classes_ignore_reach, _class_scan_matches_a_naive_scan),
     (_valid_r_min_one_too_high, _least_valid_radii_admitted),

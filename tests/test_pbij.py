@@ -5,7 +5,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given
 
-from strategies import pbijs
+from strategies import assert_rebuilds, pbijs
 from waning import (
     EMPTY,
     DomainError,
@@ -70,6 +70,15 @@ def test_lookup_cache_leaves_value_semantics_alone():
         assert copy == fresh and hash(copy) == hash(fresh)
         assert copy.get(0) == 5 and copy.has_target(1) and not copy.has_target(3)
         assert copy.domain == {0, 3, 4} and copy.image == {1, 4, 5}
+
+
+@given(pbijs(), pbijs(), st.integers(0, 8))
+def test_from_sorted_builds_what_the_constructor_builds(a, b, r):
+    # products, inverses and restrictions are built by _from_sorted
+    for g in (PBij._from_sorted(a.pairs), a * b, a.inverse(), a.restrict(r)):
+        assert_rebuilds(g)
+        g.get(0), g.image  # both lookups filled, through their slots
+        assert_rebuilds(g)
 
 
 def rank(avoid, x):
